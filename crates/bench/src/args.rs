@@ -23,9 +23,10 @@ pub struct CommonArgs {
     pub threads: usize,
     /// Traces buffered per worker between sink updates.
     pub batch: usize,
-    /// Lockstep lanes per simulation group (1 = scalar path). Results
-    /// are bit-identical at every setting; only throughput changes.
-    pub lanes: usize,
+    /// Lockstep lanes per simulation group (1 = scalar path), when given;
+    /// see [`CommonArgs::lanes`] for the effective value. Results are
+    /// bit-identical at every setting; only throughput changes.
+    pub lanes: Option<usize>,
     /// Paper-scale campaign.
     pub full: bool,
     /// Write per-kernel wall-clock timings to this path, as a JSON
@@ -72,7 +73,7 @@ impl Default for CommonArgs {
             seed: 0xdac_2018,
             threads: 8,
             batch: sca_campaign::DEFAULT_BATCH,
-            lanes: sca_campaign::DEFAULT_LANES,
+            lanes: None,
             full: false,
             bench_json: None,
             metrics_json: None,
@@ -96,6 +97,11 @@ impl fmt::Display for ArgsError {
 }
 
 impl std::error::Error for ArgsError {}
+
+/// The fewest traces a campaign may request: the Fisher-z significance
+/// threshold every characterization and attack verdict uses needs at
+/// least four observations.
+const MIN_TRACES: usize = 4;
 
 const USAGE: &str = "known flags: --traces N, --seed N, --threads N, --batch N, --lanes N, \
      --quick, --full, --bench-json PATH, --metrics-json PATH, --store DIR, \
@@ -127,7 +133,8 @@ impl CommonArgs {
     /// # Errors
     ///
     /// Returns an error for an unrecognized flag, a flag missing its
-    /// value, or a value that does not parse.
+    /// value, a value that does not parse, or an out-of-range value
+    /// (e.g. fewer than four `--traces`).
     pub fn parse_from<I>(args: I) -> Result<CommonArgs, ArgsError>
     where
         I: IntoIterator,
@@ -145,7 +152,7 @@ impl CommonArgs {
                 "--seed" => out.seed = parse_value(&arg, &value(&arg)?)?,
                 "--threads" => out.threads = parse_value(&arg, &value(&arg)?)?,
                 "--batch" => out.batch = parse_value(&arg, &value(&arg)?)?,
-                "--lanes" => out.lanes = parse_value(&arg, &value(&arg)?)?,
+                "--lanes" => out.lanes = Some(parse_value(&arg, &value(&arg)?)?),
                 "--quick" => out.full = false,
                 "--full" => out.full = true,
                 "--bench-json" => out.bench_json = Some(value(&arg)?),
@@ -166,7 +173,17 @@ impl CommonArgs {
         if out.batch == 0 {
             return Err(ArgsError("'--batch' must be at least 1".to_owned()));
         }
-        validate_lanes(out.lanes)?;
+        if let Some(traces) = out.traces {
+            if traces < MIN_TRACES {
+                return Err(ArgsError(format!(
+                    "'--traces' must be at least {MIN_TRACES} (significance tests need \
+                     {MIN_TRACES} observations)"
+                )));
+            }
+        }
+        if let Some(lanes) = out.lanes {
+            validate_lanes(lanes)?;
+        }
         if out.checkpoint_every == 0 {
             return Err(ArgsError(
                 "'--checkpoint-every' must be at least 1".to_owned(),
@@ -231,6 +248,26 @@ impl CommonArgs {
             eprintln!("error: '--metrics-json' is not supported by '{binary}' (only 'portfolio')");
             std::process::exit(2);
         }
+    }
+
+    /// Rejects `--lanes` in binaries whose campaigns run at the fixed
+    /// default lane count (`table2`, `ablation`), exiting with status 2
+    /// — like `lint`, a flag that cannot change anything must not be
+    /// accepted.
+    pub fn reject_lanes(&self, binary: &str) {
+        if self.lanes.is_some() {
+            eprintln!(
+                "error: '--lanes' is not supported by '{binary}' (it runs at the default {} lanes)",
+                sca_campaign::DEFAULT_LANES
+            );
+            std::process::exit(2);
+        }
+    }
+
+    /// The lockstep lane count: `--lanes` if given, else
+    /// [`sca_campaign::DEFAULT_LANES`].
+    pub fn lanes(&self) -> usize {
+        self.lanes.unwrap_or(sca_campaign::DEFAULT_LANES)
     }
 
     /// Picks the trace count: explicit override, else `full_default` when
@@ -337,7 +374,8 @@ mod tests {
         assert_eq!(args.seed, 9);
         assert_eq!(args.threads, 3);
         assert_eq!(args.batch, 32);
-        assert_eq!(args.lanes, 4);
+        assert_eq!(args.lanes, Some(4));
+        assert_eq!(args.lanes(), 4);
         assert!(args.full);
         assert_eq!(args.bench_json.as_deref(), Some("out.json"));
         assert_eq!(args.metrics_json.as_deref(), Some("metrics.json"));
@@ -354,7 +392,8 @@ mod tests {
         assert_eq!(args.seed, 0xdac_2018);
         assert_eq!(args.threads, 8);
         assert_eq!(args.batch, sca_campaign::DEFAULT_BATCH);
-        assert_eq!(args.lanes, sca_campaign::DEFAULT_LANES);
+        assert_eq!(args.lanes, None);
+        assert_eq!(args.lanes(), sca_campaign::DEFAULT_LANES);
         assert!(!args.full);
         assert!(args.bench_json.is_none());
         assert!(args.metrics_json.is_none());
@@ -390,7 +429,9 @@ mod tests {
         assert!(parse(&["--batch", "0"]).is_err());
         assert!(parse(&["--lanes", "0"]).is_err());
         assert!(parse(&["--lanes", "9"]).is_err());
-        assert_eq!(parse(&["--lanes", "8"]).unwrap().lanes, 8);
+        assert_eq!(parse(&["--lanes", "8"]).unwrap().lanes, Some(8));
+        assert!(parse(&["--traces", "3"]).is_err());
+        assert_eq!(parse(&["--traces", "4"]).unwrap().traces, Some(4));
         assert!(parse(&["--store"]).is_err());
         assert!(parse(&["--store", "d", "--checkpoint-every", "0"]).is_err());
         assert!(parse(&["--store", "d", "--kill-after", "many"]).is_err());
@@ -426,7 +467,10 @@ mod tests {
         // Every in-range width parses, including both edges.
         for good in 1..=sca_uarch::MAX_LANES {
             assert!(validate_lanes(good).is_ok());
-            assert_eq!(parse(&["--lanes", &good.to_string()]).unwrap().lanes, good);
+            assert_eq!(
+                parse(&["--lanes", &good.to_string()]).unwrap().lanes,
+                Some(good)
+            );
         }
     }
 

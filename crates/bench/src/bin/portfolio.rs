@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: args.seed,
         threads: args.threads,
         batch: args.batch,
-        lanes: args.lanes,
+        lanes: args.lanes(),
         store: args.store.as_ref().map(|root| PortfolioStoreConfig {
             root: root.into(),
             checkpoint_every: args.checkpoint_every,

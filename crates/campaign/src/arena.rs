@@ -22,21 +22,30 @@
 
 use rand::rngs::StdRng;
 
-use sca_power::{BlockPowerRecorder, PowerRecorder, SynthScratch, TraceSynthesizer};
+use sca_power::{PowerRecorder, SynthScratch, TraceSynthesizer};
 use sca_uarch::{CacheCounts, Cpu, CpuBlock, UarchError};
+
+use crate::lanes::LaneGroup;
+
+/// The scalar lane of an arena: the staged CPU, its recorder, and the
+/// synthesis scratch of [`TraceSynthesizer::synth_into`].
+#[derive(Clone, Debug)]
+struct ScalarSim {
+    cpu: Cpu,
+    recorder: PowerRecorder,
+    scratch: SynthScratch,
+    /// The current trace (full length, before windowing).
+    trace: Vec<f32>,
+}
 
 /// The lockstep half of an arena: a [`CpuBlock`] stepping several traces
 /// through one pipeline walk, with per-lane recorder/scratch buffers.
-///
-/// Present only when the campaign runs with more than one lane. Dropped
-/// (`SimArena::block = None`) the moment a group diverges: divergence
-/// means the lanes' cache/memory histories were perturbed mid-run, so
-/// the rest of the worker's range falls back to the scalar path, whose
-/// per-trace results never depend on such history.
+/// Present only when the campaign runs with more than one lane, and
+/// dropped for good the moment a group diverges.
 #[derive(Clone, Debug)]
 struct BlockSim {
     block: CpuBlock,
-    recorder: BlockPowerRecorder,
+    recorder: PowerRecorder,
     scratches: Vec<SynthScratch>,
     traces: Vec<Vec<f32>>,
 }
@@ -48,7 +57,7 @@ struct BlockSim {
 struct WorkerTally {
     /// Cache work attributable to committed traces (warm-up counts the
     /// template clones inherited are drained and discarded up front;
-    /// diverged lockstep work is drained and discarded too).
+    /// a diverged block's work is dropped with the block).
     cache: CacheCounts,
     /// Traces synthesized through the lockstep block.
     lockstep_traces: u64,
@@ -58,173 +67,82 @@ struct WorkerTally {
     blocks_poisoned: u64,
 }
 
-/// One campaign worker's reusable simulation state: a staged CPU cloned
-/// once from the warmed template, a [`PowerRecorder`], and the scratch
-/// buffers of the allocation-free synthesis path
-/// ([`TraceSynthesizer::synth_into`]).
-#[derive(Clone, Debug)]
-pub struct SimArena {
-    pub(crate) cpu: Cpu,
-    pub(crate) recorder: PowerRecorder,
-    pub(crate) scratch: SynthScratch,
-    /// The current trace (full length, before windowing).
-    pub(crate) trace: Vec<f32>,
+/// A worker's output between sink updates: the batch and its tally.
+#[derive(Clone, Debug, Default)]
+struct Batch {
     /// The batch's inputs, in index order.
-    pub(crate) inputs: Vec<Vec<u8>>,
+    inputs: Vec<Vec<u8>>,
     /// The batch's windowed traces, trace-major `inputs.len() × samples`
     /// — handed to [`crate::CampaignSink::absorb_batch`] directly.
-    pub(crate) flat: Vec<f32>,
-    /// Lockstep lanes, when enabled (and not poisoned by divergence).
-    block: Option<BlockSim>,
+    flat: Vec<f32>,
     /// Locally-buffered telemetry, published at batch boundaries.
     tally: WorkerTally,
 }
 
+/// One campaign worker's reusable simulation state: a staged CPU cloned
+/// once from the warmed template, a [`PowerRecorder`], and the scratch
+/// buffers of the allocation-free synthesis path
+/// ([`TraceSynthesizer::synth_into`]), plus an optional lockstep block.
+#[derive(Clone, Debug)]
+pub(crate) struct SimArena {
+    lanes: LaneGroup<ScalarSim, BlockSim>,
+    batch: Batch,
+}
+
 impl SimArena {
     /// Creates a worker arena for `synth`, cloning the warmed template
-    /// CPU once. The recorder is built with the synthesizer's leakage
-    /// weights, so arena traces are bit-identical to the materializing
-    /// path's.
-    pub fn new(synth: &TraceSynthesizer, template: &Cpu) -> SimArena {
+    /// once, with a `lanes`-wide lockstep [`CpuBlock`] when `lanes > 1`
+    /// (clamped to `1..=`[`sca_uarch::MAX_LANES`]). The recorders are
+    /// built with the synthesizer's leakage weights, so arena traces are
+    /// bit-identical to the materializing path's.
+    pub(crate) fn with_lanes(synth: &TraceSynthesizer, template: &Cpu, lanes: usize) -> SimArena {
+        let lanes = lanes.clamp(1, sca_uarch::MAX_LANES);
+        let weights = synth.weights();
         let mut cpu = template.clone();
-        // The clone inherits the template's warm-up hit/miss counts;
+        // The clones inherit the template's warm-up hit/miss counts;
         // discard them so the tally attributes cache work to traces only.
         let _ = cpu.drain_cache_counts();
-        SimArena {
-            cpu,
-            recorder: PowerRecorder::new(synth.weights().clone()),
-            scratch: SynthScratch::new(),
-            trace: Vec::new(),
-            inputs: Vec::new(),
-            flat: Vec::new(),
-            block: None,
-            tally: WorkerTally::default(),
-        }
-    }
-
-    /// Like [`SimArena::new`], but additionally equips the arena with a
-    /// `lanes`-wide lockstep [`CpuBlock`] (when `lanes > 1`), so
-    /// `SimArena::push_windowed_group` can synthesize whole groups of
-    /// traces in one pipeline walk. `lanes` is clamped to
-    /// `1..=`[`sca_uarch::MAX_LANES`].
-    pub fn with_lanes(synth: &TraceSynthesizer, template: &Cpu, lanes: usize) -> SimArena {
-        let mut arena = SimArena::new(synth, template);
-        let lanes = lanes.clamp(1, sca_uarch::MAX_LANES);
-        if lanes > 1 {
+        let block = (lanes > 1).then(|| {
             let mut block = CpuBlock::from_template(template, lanes);
-            // Same warm-up-inheritance discard as the scalar CPU above.
             let _ = block.drain_cache_counts(lanes);
-            arena.block = Some(BlockSim {
+            BlockSim {
                 block,
-                recorder: BlockPowerRecorder::new(synth.weights().clone(), lanes),
+                recorder: PowerRecorder::with_lanes(weights.clone(), lanes),
                 scratches: vec![SynthScratch::new(); lanes],
                 traces: vec![Vec::new(); lanes],
-            });
+            }
+        });
+        SimArena {
+            lanes: LaneGroup {
+                scalar: ScalarSim {
+                    cpu,
+                    recorder: PowerRecorder::new(weights.clone()),
+                    scratch: SynthScratch::new(),
+                    trace: Vec::new(),
+                },
+                block,
+            },
+            batch: Batch::default(),
         }
-        arena
-    }
-
-    /// The worker's CPU (staged template clone).
-    pub fn cpu(&self) -> &Cpu {
-        &self.cpu
-    }
-
-    /// Synthesizes the trace at `index` into the arena's buffers and
-    /// returns `(trace, input)` — the reusable-state equivalent of
-    /// [`TraceSynthesizer::synthesize_trace`], byte-identical to it for
-    /// any prior arena history.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator faults.
-    pub fn synthesize<G, S, P>(
-        &mut self,
-        synth: &TraceSynthesizer,
-        entry: u32,
-        index: usize,
-        generate: &G,
-        stage: &S,
-        post: &P,
-    ) -> Result<(&[f32], Vec<u8>), UarchError>
-    where
-        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
-        P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
-    {
-        let input = synth.synth_into(
-            &mut self.cpu,
-            &mut self.recorder,
-            &mut self.scratch,
-            &mut self.trace,
-            entry,
-            index,
-            None,
-            generate,
-            stage,
-            post,
-        )?;
-        Ok((&self.trace, input))
     }
 
     /// Starts a new sink batch: clears the input and flat-trace buffers
     /// (keeping their capacity).
     pub(crate) fn begin_batch(&mut self) {
-        self.inputs.clear();
-        self.flat.clear();
-    }
-
-    /// Synthesizes the trace at `index`, pads it to `full` samples, and
-    /// appends its `[start, start + samples)` window (and its input) to
-    /// the current batch. When `clip` is true the synthesis itself is
-    /// clipped to the window (legal only when the post hook is a no-op
-    /// — out-of-window samples are then discarded unseen).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_windowed<G, S, P>(
-        &mut self,
-        synth: &TraceSynthesizer,
-        entry: u32,
-        index: usize,
-        (full, start, samples): (usize, usize, usize),
-        clip: bool,
-        generate: &G,
-        stage: &S,
-        post: &P,
-    ) -> Result<(), UarchError>
-    where
-        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
-        P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
-    {
-        let input = synth.synth_into(
-            &mut self.cpu,
-            &mut self.recorder,
-            &mut self.scratch,
-            &mut self.trace,
-            entry,
-            index,
-            clip.then_some((start, start + samples)),
-            generate,
-            stage,
-            post,
-        )?;
-        self.trace.resize(full, 0.0);
-        self.flat
-            .extend_from_slice(&self.trace[start..start + samples]);
-        self.inputs.push(input);
-        self.tally.scalar_traces += 1;
-        Ok(())
+        self.batch.inputs.clear();
+        self.batch.flat.clear();
     }
 
     /// Synthesizes the `count` consecutive traces starting at
-    /// `base_index` and appends their windows (and inputs) to the
-    /// current batch, exactly like `count` [`SimArena::push_windowed`]
-    /// calls in index order.
+    /// `base_index`, pads each to `full` samples, and appends their
+    /// `[start, start + samples)` windows (and inputs) to the current
+    /// batch in index order. When `clip` is true the synthesis itself is
+    /// clipped to the window (legal only when the post hook is a no-op
+    /// — out-of-window samples are then discarded unseen).
     ///
-    /// When the arena has a lockstep block (and `count > 1`), the whole
-    /// group runs through it in one pipeline walk. The results are
-    /// bit-identical either way; on lockstep divergence the block is
-    /// dropped and this group — and every later group of this arena —
-    /// takes the scalar path.
+    /// The group runs through the lockstep block when the arena has one
+    /// (see [`LaneGroup::run`] for the divergence policy); the results
+    /// are bit-identical either way.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn push_windowed_group<G, S, P>(
         &mut self,
@@ -243,69 +161,65 @@ impl SimArena {
         S: Fn(&mut Cpu, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
-        if count > 1 && self.block.is_some() {
-            let block = self.block.as_mut().expect("just checked");
-            debug_assert!(count <= block.block.max_lanes());
-            let got = synth.synth_block_into(
-                &mut block.block,
-                &mut block.recorder,
-                &mut block.scratches,
-                &mut block.traces,
-                entry,
-                base_index,
-                count,
-                clip.then_some((start, start + samples)),
-                generate,
-                stage,
-                post,
-            );
-            match got {
-                Some(inputs) => {
-                    let counts = block.block.drain_cache_counts(count);
-                    self.tally.cache.accumulate(&counts);
-                    self.tally.lockstep_traces += count as u64;
-                    for (lane, input) in inputs.into_iter().enumerate() {
-                        block.traces[lane].resize(full, 0.0);
-                        self.flat
-                            .extend_from_slice(&block.traces[lane][start..start + samples]);
-                        self.inputs.push(input);
-                    }
-                    return Ok(());
+        let clip = clip.then_some((start, start + samples));
+        let poisoned = self.lanes.run(
+            &mut self.batch,
+            count,
+            |block, batch| {
+                let Some(inputs) = synth.synth_block_into(
+                    &mut block.block,
+                    &mut block.recorder,
+                    &mut block.scratches,
+                    &mut block.traces,
+                    entry,
+                    base_index,
+                    count,
+                    clip,
+                    generate,
+                    stage,
+                    post,
+                ) else {
+                    return false;
+                };
+                let counts = block.block.drain_cache_counts(count);
+                batch.tally.cache.accumulate(&counts);
+                batch.tally.lockstep_traces += count as u64;
+                for (trace, input) in block.traces.iter_mut().zip(inputs) {
+                    trace.resize(full, 0.0);
+                    batch.flat.extend_from_slice(&trace[start..start + samples]);
+                    batch.inputs.push(input);
                 }
-                // Divergence: the lanes' microarchitectural state was
-                // perturbed mid-run, so retire the block for good and
-                // re-run this group (and all later ones) scalar —
-                // `synth_into` is self-contained per trace. The lanes'
-                // partial cache work is drained and discarded: only the
-                // scalar rerun counts, keeping the totals identical to a
-                // single-lane run.
-                None => {
-                    let block = self.block.as_mut().expect("just checked");
-                    let lanes = block.block.max_lanes();
-                    let _ = block.block.drain_cache_counts(lanes);
-                    self.tally.blocks_poisoned += 1;
-                    self.block = None;
-                }
-            }
-        }
-        for offset in 0..count {
-            self.push_windowed(
-                synth,
-                entry,
-                base_index + offset,
-                (full, start, samples),
-                clip,
-                generate,
-                stage,
-                post,
-            )?;
-        }
+                true
+            },
+            |sim, batch, offset| {
+                let input = synth.synth_into(
+                    &mut sim.cpu,
+                    &mut sim.recorder,
+                    &mut sim.scratch,
+                    &mut sim.trace,
+                    entry,
+                    base_index + offset,
+                    clip,
+                    generate,
+                    stage,
+                    post,
+                )?;
+                sim.trace.resize(full, 0.0);
+                batch
+                    .flat
+                    .extend_from_slice(&sim.trace[start..start + samples]);
+                batch.inputs.push(input);
+                batch.tally.scalar_traces += 1;
+                Ok(())
+            },
+        )?;
+        self.batch.tally.blocks_poisoned += u64::from(poisoned);
         Ok(())
     }
 
     /// The current batch, `(inputs, flat windowed traces)`.
     pub(crate) fn batch(&self) -> (&[Vec<u8>], &[f32]) {
-        (&self.inputs, &self.flat)
+        (&self.batch.inputs, &self.batch.flat)
     }
 
     /// Publishes the worker's locally-buffered tally to the global
@@ -313,9 +227,9 @@ impl SimArena {
     /// the hot loop itself never touches shared atomics.
     pub(crate) fn publish_metrics(&mut self) {
         // Attribute the scalar CPU's cache work accumulated this batch.
-        let scalar = self.cpu.drain_cache_counts();
-        self.tally.cache.accumulate(&scalar);
-        let tally = std::mem::take(&mut self.tally);
+        let scalar = self.lanes.scalar.cpu.drain_cache_counts();
+        self.batch.tally.cache.accumulate(&scalar);
+        let tally = std::mem::take(&mut self.batch.tally);
         let cache = tally.cache;
         if !cache.is_zero() {
             sca_telemetry::counter!("uarch/l1i/accesses").add(cache.l1i_hits + cache.l1i_misses);

@@ -187,6 +187,28 @@ impl Campaign {
         self.run_inner(cpu, entry, generate, stage, post, sink, false)
     }
 
+    /// Probes the full trace length and resolves the analysis window
+    /// inside it: `(full, start, samples)`.
+    pub(crate) fn probe_window<G, S>(
+        &self,
+        cpu: &Cpu,
+        entry: u32,
+        generate: &G,
+        stage: &S,
+    ) -> Result<(usize, usize, usize), UarchError>
+    where
+        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
+        S: Fn(&mut Cpu, &[u8]) + Sync,
+    {
+        let full = {
+            let _span = sca_telemetry::span!("probe");
+            self.synth.probe_samples(cpu, entry, generate, stage)?
+        };
+        let (start, len) = self.window.unwrap_or((0, full));
+        let start = start.min(full);
+        Ok((full, start, len.min(full - start)))
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn run_inner<G, S, P, K>(
         &self,
@@ -204,18 +226,7 @@ impl Campaign {
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
         K: CampaignSink,
     {
-        let full = {
-            let _span = sca_telemetry::span!("probe");
-            self.synth.probe_samples(cpu, entry, &generate, &stage)?
-        };
-        let (start, samples) = match self.window {
-            Some((start, len)) => {
-                let start = start.min(full);
-                (start, len.min(full - start))
-            }
-            None => (0, full),
-        };
-
+        let (full, start, samples) = self.probe_window(cpu, entry, &generate, &stage)?;
         let plan = self.plan();
         sca_telemetry::counter!("campaign/traces_planned").add(plan.items as u64);
         // Worker threads have empty span stacks; graft their phase spans

@@ -121,12 +121,14 @@
 //! ## Layering
 //!
 //! * [`ShardPlan`] / [`run_sharded`] / [`Mergeable`] — the generic
-//!   deterministic map-reduce; `sca-core`'s Table 2 characterization
-//!   drives its multi-channel acquisition through this directly;
-//! * [`SimArena`] — one worker's reusable simulation state (staged CPU,
+//!   deterministic map-reduce;
+//! * `SimArena` — one worker's reusable simulation state (staged CPU,
 //!   power recorder, synthesis scratch, batch buffers): created once per
 //!   shard and reused across the worker's whole index range, so the
 //!   steady-state trace loop is allocation-free;
+//! * [`ComponentArena`] — the same for per-component acquisitions
+//!   (Table 2, target characterization); both arenas share one
+//!   lockstep-or-scalar group dispatcher;
 //! * [`Campaign`] / [`CampaignConfig`] — the standard power-trace
 //!   campaign (probe for the window length, synthesize, crop, stream);
 //! * [`CampaignSink`] / [`CpaSink`] / [`CorrSink`] / [`TtestSink`] —
@@ -148,12 +150,15 @@
 #![warn(missing_debug_implementations)]
 
 mod arena;
+mod component;
 mod engine;
+mod lanes;
 mod shard;
 mod sink;
 mod store_run;
 
-pub use arena::SimArena;
+pub(crate) use arena::SimArena;
+pub use component::ComponentArena;
 pub use engine::{Campaign, CampaignConfig, DEFAULT_LANES};
 pub use shard::{run_sharded, Mergeable, ShardPlan, DEFAULT_BATCH};
 pub use sink::{CampaignSink, Checkpointable, CorrSink, CpaSink, TtestSink};

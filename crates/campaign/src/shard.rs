@@ -96,6 +96,22 @@ impl<A: Mergeable, B: Mergeable> Mergeable for (A, B) {
     }
 }
 
+/// Element-wise merge of equally-shaped partial states, e.g. a grid of
+/// per-cell accumulators built by one sink factory.
+impl<T: Mergeable> Mergeable for Vec<T> {
+    fn merge(&mut self, other: Vec<T>) {
+        for (mine, theirs) in self.iter_mut().zip(other) {
+            mine.merge(theirs);
+        }
+    }
+}
+
+impl Mergeable for sca_analysis::PearsonAccumulator {
+    fn merge(&mut self, other: sca_analysis::PearsonAccumulator) {
+        sca_analysis::PearsonAccumulator::merge(self, &other);
+    }
+}
+
 /// Runs a deterministic sharded map-reduce over `plan.items` indices.
 ///
 /// * `worker` builds one worker's private state (e.g. a cloned CPU) —

@@ -328,17 +328,7 @@ impl Campaign {
 
         // Slow path: probe the window, open (validating) or create the
         // store, and run segment by segment.
-        let full = {
-            let _span = sca_telemetry::span!("probe");
-            self.synth.probe_samples(cpu, entry, &generate, &stage)?
-        };
-        let (start, samples) = match self.window {
-            Some((start, len)) => {
-                let start = start.min(full);
-                (start, len.min(full - start))
-            }
-            None => (0, full),
-        };
+        let (full, start, samples) = self.probe_window(cpu, entry, &generate, &stage)?;
         let input_len = self.synth.input_for(0, &generate).len() as u64;
         let expected = StoreMeta {
             key,
@@ -470,13 +460,14 @@ impl Campaign {
                     // one-trace-at-a-time scalar path).
                     let _span =
                         sca_telemetry::span_at(sca_telemetry::child_path(&parent, "store-io"));
-                    let first_input = arena.inputs.len() - group;
-                    let first_flat = arena.flat.len() - group * samples;
+                    let (inputs, flat) = arena.batch();
+                    let first_input = inputs.len() - group;
+                    let first_flat = flat.len() - group * samples;
                     for g in 0..group {
                         let global = seg_start + (local + g) as u64;
-                        let input = &arena.inputs[first_input + g];
+                        let input = &inputs[first_input + g];
                         let off = first_flat + g * samples;
-                        let trace = &arena.flat[off..off + samples];
+                        let trace = &flat[off..off + samples];
                         match kill {
                             KillPoint::MidPage { at, keep } if global == at => {
                                 store.append_torn(global, input, trace, keep)?;

@@ -27,9 +27,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 
 use sca_analysis::{significance_threshold, PearsonAccumulator};
-use sca_campaign::{run_sharded, Mergeable, ShardPlan};
+use sca_campaign::{run_sharded, ComponentArena, ShardPlan};
 use sca_isa::{AddrMode, Insn, Program, ProgramBuilder, Reg, ShiftKind};
-use sca_power::{ComponentPowerRecorder, GaussianNoise, LeakageWeights, NoiseSource};
+use sca_power::{ComponentPowerRecorder, ComponentSynthesizer, GaussianNoise, LeakageWeights};
 use sca_uarch::{Cpu, NodeKind, NullObserver, UarchConfig, UarchError};
 
 /// Paper-derived expectation for one model cell of Table 2.
@@ -594,24 +594,6 @@ impl Default for CharacterizationConfig {
     }
 }
 
-/// Streaming sink of one characterization row: one mergeable Pearson
-/// accumulator per model cell, each correlating its expression against
-/// its component's power sub-trace.
-struct RowSink {
-    /// Index-aligned with the benchmark's `models`.
-    accs: Vec<PearsonAccumulator>,
-    traces: u64,
-}
-
-impl Mergeable for RowSink {
-    fn merge(&mut self, other: RowSink) {
-        for (acc, theirs) in self.accs.iter_mut().zip(&other.accs) {
-            acc.merge(theirs);
-        }
-        self.traces += other.traces;
-    }
-}
-
 /// Runs one benchmark row and evaluates its models.
 ///
 /// Leakage is attributed per component: the acquisition records one
@@ -624,13 +606,34 @@ impl Mergeable for RowSink {
 /// register-file read ports from the operand buses that carry the same
 /// values one cycle later.
 ///
+/// The acquisition runs at [`sca_campaign::DEFAULT_LANES`] lockstep
+/// lanes, like every other campaign; results are identical at any lane
+/// count.
+///
 /// # Errors
 ///
 /// Propagates simulator faults.
+///
+/// # Panics
+///
+/// Panics if `config.traces < 4`: the Fisher-z significance threshold
+/// needs at least four observations.
 pub fn run_benchmark(
     benchmark: &LeakBenchmark,
     uarch: &UarchConfig,
     config: &CharacterizationConfig,
+) -> Result<RowResult, UarchError> {
+    run_benchmark_at_lanes(benchmark, uarch, config, sca_campaign::DEFAULT_LANES)
+}
+
+/// [`run_benchmark`] at an explicit lockstep lane count, for the
+/// lane-count conformance tests.
+#[doc(hidden)]
+pub fn run_benchmark_at_lanes(
+    benchmark: &LeakBenchmark,
+    uarch: &UarchConfig,
+    config: &CharacterizationConfig,
+    lanes: usize,
 ) -> Result<RowResult, UarchError> {
     use rand::Rng as _;
     use rand::SeedableRng;
@@ -687,99 +690,50 @@ pub fn run_benchmark(
     };
 
     // Streaming acquisition through the sharded campaign engine: each
-    // worker synthesizes its index range's multi-channel traces and folds
-    // them straight into per-cell Pearson accumulators, so memory is
-    // O(cells × window) instead of O(traces × components × window).
-    let seed = config.seed ^ ((benchmark.row as u64) << 32);
+    // worker synthesizes its index range's per-component traces (every
+    // component, in `NodeKind::ALL` order) and folds them straight into
+    // per-cell Pearson accumulators, so memory is O(cells × window)
+    // instead of O(traces × components × window).
     let plan = ShardPlan {
         items: config.traces,
         threads: config.threads,
         batch: config.batch,
     };
-    let stage = &benchmark.stage;
+    let synth = ComponentSynthesizer::new(
+        LeakageWeights::cortex_a7(),
+        &NodeKind::ALL,
+        (0, window_len),
+        config.executions_per_trace,
+        config.noise,
+        config.seed ^ ((benchmark.row as u64) << 32),
+    );
     let words = benchmark.input_words;
-    let noise = config.noise;
-    let executions = config.executions_per_trace.max(1);
-    // One reusable multi-channel worker per shard (the `SimArena`
-    // pattern): CPU clone, recorder and scratch buffers live for the
-    // whole index range instead of being allocated per execution.
-    struct RowWorker {
-        cpu: Cpu,
-        recorder: ComponentPowerRecorder,
-        accumulated: Vec<Vec<f64>>,
-        samples: Vec<f64>,
-        channels: Vec<Vec<f32>>,
-    }
+    let generate = |rng: &mut StdRng, _: usize| {
+        let mut input = vec![0u8; words * 4];
+        rng.fill(&mut input[..]);
+        input
+    };
+    let stage = |cpu: &mut Cpu, input: &[u8]| (benchmark.stage)(cpu, input);
     let sink = run_sharded(
         &plan,
-        || RowWorker {
-            cpu: template.clone(),
-            recorder: ComponentPowerRecorder::new(LeakageWeights::cortex_a7()),
-            accumulated: vec![Vec::new(); NodeKind::COUNT],
-            samples: Vec::new(),
-            channels: vec![Vec::new(); NodeKind::COUNT],
-        },
-        || RowSink {
-            accs: benchmark
-                .models
-                .iter()
-                .map(|_| PearsonAccumulator::new(window_len))
-                .collect(),
-            traces: 0,
-        },
-        |worker, sink, range| {
-            for t in range {
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 * 0x9e37));
-                let mut input = vec![0u8; words * 4];
-                rng.fill(&mut input[..]);
-                for channel in &mut worker.accumulated {
-                    channel.clear();
-                    channel.resize(window_len, 0.0);
+        || ComponentArena::new(&synth, &template, lanes),
+        // One Pearson accumulator per model cell, index-aligned with
+        // the benchmark's `models`.
+        || vec![PearsonAccumulator::new(window_len); benchmark.models.len()],
+        |arena, sink, range| {
+            arena.run(&synth, 0, range, &generate, &stage, |input, channels| {
+                for (spec, acc) in benchmark.models.iter().zip(sink.iter_mut()) {
+                    acc.add((spec.model)(input), &channels[spec.component.index()]);
                 }
-                for e in 0..executions {
-                    worker
-                        .cpu
-                        .restart_seeded(0, seed ^ ((t as u64) << 8 | e as u64));
-                    stage(&mut worker.cpu, &input);
-                    worker.recorder.reset();
-                    worker.cpu.run(&mut worker.recorder)?;
-                    let mut gauss = noise;
-                    for kind in NodeKind::ALL {
-                        worker
-                            .recorder
-                            .windowed_power_into(kind, &mut worker.samples);
-                        worker.samples.resize(window_len, 0.0);
-                        gauss.add_to(&mut rng, &mut worker.samples);
-                        for (a, s) in worker.accumulated[kind.index()]
-                            .iter_mut()
-                            .zip(&worker.samples)
-                        {
-                            *a += s;
-                        }
-                    }
-                }
-                let inv = 1.0 / executions as f64;
-                for (channel, accumulated) in worker.channels.iter_mut().zip(&worker.accumulated) {
-                    channel.clear();
-                    channel.extend(accumulated.iter().map(|&s| (s * inv) as f32));
-                }
-                for (spec, acc) in benchmark.models.iter().zip(&mut sink.accs) {
-                    acc.add(
-                        (spec.model)(&input),
-                        &worker.channels[spec.component.index()],
-                    );
-                }
-                sink.traces += 1;
-            }
-            Ok::<(), UarchError>(())
+            })
         },
     )?;
 
-    let n = sink.traces;
+    let n = config.traces as u64;
     let cells = benchmark
         .models
         .iter()
-        .zip(&sink.accs)
+        .zip(&sink)
         .map(|(spec, acc)| {
             let series = acc.correlations();
             let candidates = &instants[spec.component.index()];

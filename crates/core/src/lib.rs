@@ -44,8 +44,9 @@ pub use cpi::{
 };
 pub use infer::{DualIssueMap, PipelineHypothesis};
 pub use leakchar::{
-    characterize, run_benchmark, table2_benchmarks, CellResult, CharacterizationConfig,
-    Expectation, LeakBenchmark, ModelSpec, RowResult, Table2Report, PAD_NOPS,
+    characterize, run_benchmark, run_benchmark_at_lanes, table2_benchmarks, CellResult,
+    CharacterizationConfig, Expectation, LeakBenchmark, ModelSpec, RowResult, Table2Report,
+    PAD_NOPS,
 };
 pub use scenarios::{
     audit_scenario, masking_scenarios, operand_path_leaks, share_models, stage_shares,

@@ -14,7 +14,7 @@
 //!
 //! Two passes share one taint domain ([`Taint`]):
 //!
-//! * the **concrete-path taint machine** ([`exec`]) executes the
+//! * the **concrete-path taint machine** (module `exec`) executes the
 //!   target's canonical staged input with the same semantics tables as
 //!   the reference interpreter, shadowing every register, flag and
 //!   memory byte with labels — secret bytes, input bytes, and an
@@ -22,7 +22,7 @@
 //!   cancellation (`HD(a ^ m, b ^ m) = HD(a, b)`) algebraically. It
 //!   evaluates the pairwise leak-node rules `SL101`–`SL107` at every
 //!   sharing point, joining findings across loop revisits;
-//! * the **CFG pass** ([`cfg`]) runs a classic any-path forward
+//! * the **CFG pass** (module `cfg`) runs a classic any-path forward
 //!   dataflow fixed point for the control/addressing rules
 //!   `SL108`/`SL109`.
 //!

@@ -9,17 +9,22 @@
 //!
 //! * [`LeakageWeights`] — per-component weights (register file silent,
 //!   shifter at 1/10, etc.);
-//! * [`PowerRecorder`] — a `PipelineObserver` integrating per-cycle power;
+//! * [`PowerRecorder`] — a pipeline observer integrating per-cycle power
+//!   (per lane, for lockstep runs);
 //! * [`SamplingConfig`] — 500 MS/s-style cycle→sample expansion;
 //! * [`GaussianNoise`]/[`NoiseSource`] — measurement and environment noise;
 //! * [`TraceSynthesizer`]/[`AcquisitionConfig`] — deterministic,
-//!   optionally multi-threaded campaign runner producing [`TraceSet`]s.
+//!   optionally multi-threaded campaign runner producing [`TraceSet`]s;
+//! * [`ComponentSynthesizer`] — one averaged sub-trace per pipeline
+//!   component, for the per-component characterizations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod component;
 mod io;
+mod lanes;
 mod model;
 mod noise;
 mod recorder;
@@ -29,12 +34,11 @@ mod trace;
 #[doc(hidden)]
 pub mod vecops;
 
+pub use component::{ComponentScratch, ComponentSynthesizer, LaneSim};
 pub use io::{read_traces, write_traces};
 pub use model::LeakageWeights;
 pub use noise::{GaussianNoise, NoiseSource};
-pub use recorder::{
-    BlockComponentPowerRecorder, BlockPowerRecorder, ComponentPowerRecorder, PowerRecorder,
-};
+pub use recorder::{ComponentPowerRecorder, PowerRecorder};
 pub use sampling::{cycle_window_to_samples, SamplingConfig};
 pub use synth::{simulator_runs, AcquisitionConfig, SynthScratch, TraceSynthesizer};
 pub use trace::TraceSet;

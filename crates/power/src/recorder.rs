@@ -1,110 +1,47 @@
 //! Turning pipeline activity into per-cycle power.
 
-use sca_uarch::{BlockObserver, NodeEvent, PipelineObserver};
+use sca_uarch::{BlockObserver, NodeEvent, NodeKind, PipelineObserver};
 
 use crate::LeakageWeights;
 
-/// A [`PipelineObserver`] that integrates node switching activity into a
-/// per-cycle power series, and records trigger edges for windowing.
+/// The `[start, end)` cycle range of the first high-trigger window in a
+/// `cycles`-long series: from the first rising edge to the first falling
+/// edge at or after it (the series end when none follows). Falling edges
+/// before the first rising edge are ignored; without any rising edge the
+/// whole series is the window (bench code without `trig` instructions).
+fn trigger_window(triggers: &[(u64, bool)], cycles: usize) -> (usize, usize) {
+    let Some(start) = triggers
+        .iter()
+        .find(|(_, high)| *high)
+        .map(|(c, _)| *c as usize)
+    else {
+        return (0, cycles);
+    };
+    let end = triggers
+        .iter()
+        .find(|(c, high)| !*high && *c as usize >= start)
+        .map_or(cycles, |(c, _)| *c as usize)
+        .min(cycles);
+    (start.min(end), end)
+}
+
+/// An observer that integrates node switching activity into one
+/// per-cycle power series per lane, and records trigger edges for
+/// windowing.
 ///
-/// One recorder observes one execution; the trace synthesizer then expands
-/// cycles to oscilloscope samples, adds noise and averages executions.
-#[derive(Clone, Debug)]
-pub struct PowerRecorder {
-    weights: LeakageWeights,
-    /// Power accumulated per cycle index.
-    power: Vec<f64>,
-    /// `(cycle, level)` trigger edges in order.
-    triggers: Vec<(u64, bool)>,
-}
-
-impl PowerRecorder {
-    /// Creates a recorder with the given leakage weights.
-    pub fn new(weights: LeakageWeights) -> PowerRecorder {
-        PowerRecorder {
-            weights,
-            power: Vec::new(),
-            triggers: Vec::new(),
-        }
-    }
-
-    /// The raw per-cycle power series for the whole execution.
-    pub fn cycle_power(&self) -> &[f64] {
-        &self.power
-    }
-
-    /// Recorded trigger edges.
-    pub fn triggers(&self) -> &[(u64, bool)] {
-        &self.triggers
-    }
-
-    /// The per-cycle power inside the first high-trigger window.
-    ///
-    /// Returns the whole series when no trigger fired (bench code without
-    /// `trig` instructions).
-    pub fn windowed_power(&self) -> &[f64] {
-        let Some(start) = self
-            .triggers
-            .iter()
-            .find(|(_, h)| *h)
-            .map(|(c, _)| *c as usize)
-        else {
-            return &self.power;
-        };
-        let end = self
-            .triggers
-            .iter()
-            .find(|(c, h)| !*h && *c as usize >= start)
-            .map_or(self.power.len(), |(c, _)| *c as usize);
-        let end = end.min(self.power.len());
-        let start = start.min(end);
-        &self.power[start..end]
-    }
-
-    /// Clears recorded data, keeping the weights (reuse across the
-    /// averaged executions of one trace).
-    pub fn reset(&mut self) {
-        self.power.clear();
-        self.triggers.clear();
-    }
-}
-
-impl PipelineObserver for PowerRecorder {
-    fn begin_cycle(&mut self, cycle: u64) {
-        let needed = cycle as usize + 1;
-        if self.power.len() < needed {
-            self.power.resize(needed, 0.0);
-        }
-    }
-
-    fn node_event(&mut self, event: NodeEvent) {
-        let idx = event.cycle as usize;
-        if self.power.len() <= idx {
-            self.power.resize(idx + 1, 0.0);
-        }
-        self.power[idx] += self.weights.power_of_kind(event.node.kind(), &event);
-    }
-
-    fn trigger(&mut self, cycle: u64, high: bool) {
-        self.triggers.push((cycle, high));
-    }
-}
-
-/// A [`BlockObserver`] integrating one power series *per lane* of a
-/// lockstep [`sca_uarch::CpuBlock`] run.
+/// As a [`PipelineObserver`] it records a scalar `Cpu` run into lane 0;
+/// as a [`BlockObserver`] it records every lane of a lockstep
+/// [`sca_uarch::CpuBlock`] run. Each lane's events arrive in the order a
+/// scalar run of that lane emits them and accumulate into the same `f64`
+/// per-cycle sums, so every lane is bit-identical to a one-lane
+/// recording of it.
 ///
-/// Each lane's series is computed exactly as a scalar [`PowerRecorder`]
-/// observing that lane alone would compute it: per-lane events arrive
-/// in the same order, accumulate into the same `f64` per-cycle sums
-/// (same addition order, hence bit-identical), and the shared trigger
-/// edges delimit the same window for every lane.
 /// Storage is lane-major interleaved (`power[cycle * lanes + lane]`):
 /// the lockstep block emits each cycle's events lane-by-lane, so the
-/// writes of one cycle land on adjacent slots instead of `lanes`
-/// separate heap buffers — this recorder sits on the busiest observer
-/// path of the whole campaign engine.
+/// writes of one cycle land on adjacent slots — this recorder sits on
+/// the busiest observer path of the whole campaign engine.
 #[derive(Clone, Debug)]
-pub struct BlockPowerRecorder {
+pub struct PowerRecorder {
     weights: LeakageWeights,
     lanes: usize,
     /// Lane-major interleaved per-cycle power.
@@ -115,10 +52,15 @@ pub struct BlockPowerRecorder {
     triggers: Vec<(u64, bool)>,
 }
 
-impl BlockPowerRecorder {
-    /// Creates a recorder for up to `lanes` lanes.
-    pub fn new(weights: LeakageWeights, lanes: usize) -> BlockPowerRecorder {
-        BlockPowerRecorder {
+impl PowerRecorder {
+    /// Creates a one-lane recorder with the given leakage weights.
+    pub fn new(weights: LeakageWeights) -> PowerRecorder {
+        PowerRecorder::with_lanes(weights, 1)
+    }
+
+    /// Creates a recorder for up to `lanes` lockstep lanes.
+    pub fn with_lanes(weights: LeakageWeights, lanes: usize) -> PowerRecorder {
+        PowerRecorder {
             weights,
             lanes: lanes.max(1),
             power: Vec::new(),
@@ -127,36 +69,29 @@ impl BlockPowerRecorder {
         }
     }
 
-    fn window(&self) -> (usize, usize) {
-        let Some(start) = self
-            .triggers
-            .iter()
-            .find(|(_, h)| *h)
-            .map(|(c, _)| *c as usize)
-        else {
-            return (0, self.cycles);
-        };
-        let end = self
-            .triggers
-            .iter()
-            .find(|(c, h)| !*h && *c as usize >= start)
-            .map_or(self.cycles, |(c, _)| *c as usize)
-            .min(self.cycles);
-        (start.min(end), end)
+    /// The raw per-cycle power for the whole execution (lane-interleaved
+    /// when the recorder has more than one lane).
+    pub fn cycle_power(&self) -> &[f64] {
+        &self.power
     }
 
-    /// The per-cycle power of one lane inside the first high-trigger
-    /// window (whole series when no trigger fired) — the block analogue
-    /// of [`PowerRecorder::windowed_power`].
-    pub fn windowed_power(&self, lane: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.windowed_power_into(lane, &mut out);
-        out
+    /// The per-cycle power inside the first high-trigger window.
+    ///
+    /// Returns the whole series when no trigger fired (bench code without
+    /// `trig` instructions).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a recorder with more than one lane; use
+    /// [`PowerRecorder::windowed_power_into`] there.
+    pub fn windowed_power(&self) -> &[f64] {
+        assert_eq!(self.lanes, 1, "a multi-lane series is not contiguous");
+        let (start, end) = self.window();
+        &self.power[start..end]
     }
 
-    /// Allocation-free variant of
-    /// [`BlockPowerRecorder::windowed_power`]: clears `out` and fills
-    /// it with the lane's windowed series, reusing its capacity.
+    /// Clears `out` and fills it with one lane's per-cycle power inside
+    /// the first high-trigger window, reusing its capacity.
     pub fn windowed_power_into(&self, lane: usize, out: &mut Vec<f64>) {
         let (start, end) = self.window();
         out.clear();
@@ -169,7 +104,29 @@ impl BlockPowerRecorder {
         );
     }
 
-    /// Clears recorded data, keeping weights and lane capacity.
+    /// One lane's windowed series: borrowed in place from a one-lane
+    /// recorder, gathered into `buf` otherwise.
+    pub(crate) fn lane_window<'a>(&'a self, lane: usize, buf: &'a mut Vec<f64>) -> &'a [f64] {
+        if self.lanes == 1 {
+            return self.windowed_power();
+        }
+        self.windowed_power_into(lane, buf);
+        buf
+    }
+
+    fn window(&self) -> (usize, usize) {
+        trigger_window(&self.triggers, self.cycles)
+    }
+
+    fn grow(&mut self, cycles: usize) {
+        if self.cycles < cycles {
+            self.power.resize(cycles * self.lanes, 0.0);
+            self.cycles = cycles;
+        }
+    }
+
+    /// Clears recorded data, keeping the weights and lane count (reuse
+    /// across the averaged executions of one trace).
     pub fn reset(&mut self) {
         self.power.clear();
         self.cycles = 0;
@@ -177,21 +134,28 @@ impl BlockPowerRecorder {
     }
 }
 
-impl BlockObserver for BlockPowerRecorder {
+impl PipelineObserver for PowerRecorder {
     fn begin_cycle(&mut self, cycle: u64) {
-        let needed = cycle as usize + 1;
-        if self.cycles < needed {
-            self.power.resize(needed * self.lanes, 0.0);
-            self.cycles = needed;
-        }
+        self.grow(cycle as usize + 1);
+    }
+
+    fn node_event(&mut self, event: NodeEvent) {
+        BlockObserver::node_event(self, 0, event);
+    }
+
+    fn trigger(&mut self, cycle: u64, high: bool) {
+        self.triggers.push((cycle, high));
+    }
+}
+
+impl BlockObserver for PowerRecorder {
+    fn begin_cycle(&mut self, cycle: u64) {
+        self.grow(cycle as usize + 1);
     }
 
     fn node_event(&mut self, lane: usize, event: NodeEvent) {
         let idx = event.cycle as usize;
-        if self.cycles <= idx {
-            self.power.resize((idx + 1) * self.lanes, 0.0);
-            self.cycles = idx + 1;
-        }
+        self.grow(idx + 1);
         self.power[idx * self.lanes + lane] +=
             self.weights.power_of_kind(event.node.kind(), &event);
     }
@@ -201,10 +165,7 @@ impl BlockObserver for BlockPowerRecorder {
             return;
         };
         let idx = first.cycle as usize;
-        if self.cycles <= idx {
-            self.power.resize((idx + 1) * self.lanes, 0.0);
-            self.cycles = idx + 1;
-        }
+        self.grow(idx + 1);
         // One kind/weight resolution for the whole batch; the per-lane
         // arithmetic below is exactly `power_of_kind`, so each lane's
         // slot receives the identical f64 the per-event path adds.
@@ -223,7 +184,8 @@ impl BlockObserver for BlockPowerRecorder {
     }
 }
 
-/// A recorder that keeps one power series *per component kind*.
+/// A recorder that keeps one power series *per component kind*, per
+/// lane.
 ///
 /// The paper attributes measured leakage to pipeline components
 /// "following the common practice employed in EDA tools of ascribing the
@@ -232,118 +194,34 @@ impl BlockObserver for BlockPowerRecorder {
 /// see), but the per-component characterization of Table 2 needs the
 /// attribution; in simulation it is exact.
 ///
-/// Storage is cycle-major (`power[cycle * COUNT + kind]`): the node
-/// events of one cycle then land on one cache line, which matters
-/// because this recorder observes every event of every characterization
-/// execution. [`ComponentPowerRecorder::reset`] clears the data but
-/// keeps the capacity, so a characterization worker reuses one recorder
-/// across its whole index range without reallocating.
+/// Like [`PowerRecorder`], it records a scalar run into lane 0 and a
+/// lockstep run into every lane, each lane bit-identical to a one-lane
+/// recording of it. Storage is one cycle-major series per lane
+/// (`power[lane][cycle * COUNT + kind]`): the node events of one cycle
+/// land on one cache line, and extracting a lane's components re-walks
+/// only that lane's (L1-resident) buffer — an interleaved layout would
+/// spread every extraction stride across `lanes` cache lines.
 #[derive(Clone, Debug)]
 pub struct ComponentPowerRecorder {
-    weights: LeakageWeights,
-    /// Cycle-major strided storage, `cycles × NodeKind::COUNT`.
-    power: Vec<f64>,
-    /// Cycles recorded so far (the stride count).
-    cycles: usize,
-    triggers: Vec<(u64, bool)>,
-}
-
-impl ComponentPowerRecorder {
-    /// Creates a recorder with the given leakage weights.
-    pub fn new(weights: LeakageWeights) -> ComponentPowerRecorder {
-        ComponentPowerRecorder {
-            weights,
-            power: Vec::new(),
-            cycles: 0,
-            triggers: Vec::new(),
-        }
-    }
-
-    /// Clears recorded data while keeping the weights and the allocated
-    /// capacity (reuse across the averaged executions of a campaign).
-    pub fn reset(&mut self) {
-        self.power.clear();
-        self.cycles = 0;
-        self.triggers.clear();
-    }
-
-    fn window(&self) -> (usize, usize) {
-        let Some(start) = self
-            .triggers
-            .iter()
-            .find(|(_, h)| *h)
-            .map(|(c, _)| *c as usize)
-        else {
-            return (0, self.cycles);
-        };
-        let end = self
-            .triggers
-            .iter()
-            .find(|(c, h)| !*h && *c as usize >= start)
-            .map_or(self.cycles, |(c, _)| *c as usize)
-            .min(self.cycles);
-        (start.min(end), end)
-    }
-
-    /// The per-cycle power of one component inside the first trigger
-    /// window (whole series when no trigger fired).
-    pub fn windowed_power(&self, kind: sca_uarch::NodeKind) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.windowed_power_into(kind, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of
-    /// [`ComponentPowerRecorder::windowed_power`]: clears `out` and
-    /// fills it with the windowed series, reusing its capacity.
-    pub fn windowed_power_into(&self, kind: sca_uarch::NodeKind, out: &mut Vec<f64>) {
-        let (start, end) = self.window();
-        let k = kind.index();
-        out.clear();
-        out.reserve(end - start);
-        const COUNT: usize = sca_uarch::NodeKind::COUNT;
-        out.extend(
-            self.power[start * COUNT..end * COUNT]
-                .iter()
-                .skip(k)
-                .step_by(COUNT),
-        );
-    }
-}
-
-/// A [`BlockObserver`] keeping one per-component power series *per
-/// lane* of a lockstep [`sca_uarch::CpuBlock`] run — the block analogue
-/// of [`ComponentPowerRecorder`], with the same cycle-major strided
-/// storage per lane.
-///
-/// Each lane's series is computed exactly as a scalar
-/// [`ComponentPowerRecorder`] observing that lane alone would compute
-/// it: the lane's events arrive in the same order, accumulate into the
-/// same strided `f64` slots (same addition order, hence bit-identical),
-/// and the shared trigger edges delimit the same window for every lane.
-/// Unlike [`BlockPowerRecorder`], storage here stays *per lane* (one
-/// cycle-major strided buffer each, exactly like the scalar
-/// [`ComponentPowerRecorder`]): one lane's per-cycle component block is
-/// a single cache line, and the characterization extracts each lane's
-/// seven component series by re-walking that lane's (L1-resident)
-/// buffer — an interleaved layout would spread every extraction stride
-/// across `lanes` cache lines and thrash the gather.
-#[derive(Clone, Debug)]
-pub struct BlockComponentPowerRecorder {
     weights: LeakageWeights,
     /// One cycle-major strided series (`cycles × NodeKind::COUNT`) per
     /// lane.
     power: Vec<Vec<f64>>,
-    /// Cycles recorded so far (shared: `begin_cycle` grows every lane).
+    /// Cycles recorded so far (shared: growth extends every lane).
     cycles: usize,
     /// Shared `(cycle, level)` trigger edges in order.
     triggers: Vec<(u64, bool)>,
 }
 
-impl BlockComponentPowerRecorder {
-    /// Creates a recorder for up to `lanes` lanes.
-    pub fn new(weights: LeakageWeights, lanes: usize) -> BlockComponentPowerRecorder {
-        BlockComponentPowerRecorder {
+impl ComponentPowerRecorder {
+    /// Creates a one-lane recorder with the given leakage weights.
+    pub fn new(weights: LeakageWeights) -> ComponentPowerRecorder {
+        ComponentPowerRecorder::with_lanes(weights, 1)
+    }
+
+    /// Creates a recorder for up to `lanes` lockstep lanes.
+    pub fn with_lanes(weights: LeakageWeights, lanes: usize) -> ComponentPowerRecorder {
+        ComponentPowerRecorder {
             weights,
             power: vec![Vec::new(); lanes.max(1)],
             cycles: 0,
@@ -351,7 +229,9 @@ impl BlockComponentPowerRecorder {
         }
     }
 
-    /// Clears recorded data, keeping weights and lane capacity.
+    /// Clears recorded data while keeping the weights, the lane count and
+    /// the allocated capacity (reuse across the averaged executions of a
+    /// campaign).
     pub fn reset(&mut self) {
         for lane in &mut self.power {
             lane.clear();
@@ -361,62 +241,65 @@ impl BlockComponentPowerRecorder {
     }
 
     fn window(&self) -> (usize, usize) {
-        let Some(start) = self
-            .triggers
-            .iter()
-            .find(|(_, h)| *h)
-            .map(|(c, _)| *c as usize)
-        else {
-            return (0, self.cycles);
-        };
-        let end = self
-            .triggers
-            .iter()
-            .find(|(c, h)| !*h && *c as usize >= start)
-            .map_or(self.cycles, |(c, _)| *c as usize)
-            .min(self.cycles);
-        (start.min(end), end)
+        trigger_window(&self.triggers, self.cycles)
     }
 
-    /// Fills `out` with one lane's windowed per-cycle power for one
-    /// component — the lane-indexed analogue of
-    /// [`ComponentPowerRecorder::windowed_power_into`].
-    pub fn windowed_power_into(&self, lane: usize, kind: sca_uarch::NodeKind, out: &mut Vec<f64>) {
+    fn grow(&mut self, cycles: usize) {
+        if self.cycles < cycles {
+            for series in &mut self.power {
+                series.resize(cycles * NodeKind::COUNT, 0.0);
+            }
+            self.cycles = cycles;
+        }
+    }
+
+    /// Lane 0's per-cycle power of one component inside the first
+    /// trigger window (whole series when no trigger fired).
+    pub fn windowed_power(&self, kind: NodeKind) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.windowed_power_into(0, kind, &mut out);
+        out
+    }
+
+    /// Clears `out` and fills it with one lane's windowed per-cycle power
+    /// for one component, reusing its capacity.
+    pub fn windowed_power_into(&self, lane: usize, kind: NodeKind, out: &mut Vec<f64>) {
         let (start, end) = self.window();
-        let k = kind.index();
         out.clear();
         out.reserve(end - start);
-        const COUNT: usize = sca_uarch::NodeKind::COUNT;
         out.extend(
-            self.power[lane][start * COUNT..end * COUNT]
+            self.power[lane][start * NodeKind::COUNT..end * NodeKind::COUNT]
                 .iter()
-                .skip(k)
-                .step_by(COUNT),
+                .skip(kind.index())
+                .step_by(NodeKind::COUNT),
         );
     }
 }
 
-impl BlockObserver for BlockComponentPowerRecorder {
+impl PipelineObserver for ComponentPowerRecorder {
     fn begin_cycle(&mut self, cycle: u64) {
-        let needed = cycle as usize + 1;
-        if self.cycles < needed {
-            for series in &mut self.power {
-                series.resize(needed * sca_uarch::NodeKind::COUNT, 0.0);
-            }
-            self.cycles = needed;
-        }
+        self.grow(cycle as usize + 1);
+    }
+
+    fn node_event(&mut self, event: NodeEvent) {
+        BlockObserver::node_event(self, 0, event);
+    }
+
+    fn trigger(&mut self, cycle: u64, high: bool) {
+        self.triggers.push((cycle, high));
+    }
+}
+
+impl BlockObserver for ComponentPowerRecorder {
+    fn begin_cycle(&mut self, cycle: u64) {
+        self.grow(cycle as usize + 1);
     }
 
     fn node_event(&mut self, lane: usize, event: NodeEvent) {
         let idx = event.cycle as usize;
-        if self.cycles <= idx {
-            for series in &mut self.power {
-                series.resize((idx + 1) * sca_uarch::NodeKind::COUNT, 0.0);
-            }
-            self.cycles = idx + 1;
-        }
+        self.grow(idx + 1);
         let kind = event.node.kind();
-        self.power[lane][idx * sca_uarch::NodeKind::COUNT + kind.index()] +=
+        self.power[lane][idx * NodeKind::COUNT + kind.index()] +=
             self.weights.power_of_kind(kind, &event);
     }
 
@@ -425,49 +308,18 @@ impl BlockObserver for BlockComponentPowerRecorder {
             return;
         };
         let idx = first.cycle as usize;
-        if self.cycles <= idx {
-            for series in &mut self.power {
-                series.resize((idx + 1) * sca_uarch::NodeKind::COUNT, 0.0);
-            }
-            self.cycles = idx + 1;
-        }
-        // Same batching as `BlockPowerRecorder::node_events`: resolve
-        // the kind and both weights once, add the identical
-        // `power_of_kind` value to each lane's strided slot.
+        self.grow(idx + 1);
+        // Same batching as `PowerRecorder::node_events`: resolve the
+        // kind and both weights once, add the identical `power_of_kind`
+        // value to each lane's strided slot.
         let kind = first.node.kind();
         let whd = self.weights.hd(kind);
         let whw = self.weights.hw(kind);
-        let off = idx * sca_uarch::NodeKind::COUNT + kind.index();
+        let off = idx * NodeKind::COUNT + kind.index();
         for (series, event) in self.power.iter_mut().zip(events) {
             series[off] +=
                 whd * f64::from(event.hamming_distance()) + whw * f64::from(event.hamming_weight());
         }
-    }
-
-    fn trigger(&mut self, cycle: u64, high: bool) {
-        self.triggers.push((cycle, high));
-    }
-}
-
-impl PipelineObserver for ComponentPowerRecorder {
-    fn begin_cycle(&mut self, cycle: u64) {
-        let needed = cycle as usize + 1;
-        if self.cycles < needed {
-            self.power.resize(needed * sca_uarch::NodeKind::COUNT, 0.0);
-            self.cycles = needed;
-        }
-    }
-
-    fn node_event(&mut self, event: NodeEvent) {
-        let idx = event.cycle as usize;
-        if self.cycles <= idx {
-            self.power
-                .resize((idx + 1) * sca_uarch::NodeKind::COUNT, 0.0);
-            self.cycles = idx + 1;
-        }
-        let kind = event.node.kind();
-        self.power[idx * sca_uarch::NodeKind::COUNT + kind.index()] +=
-            self.weights.power_of_kind(kind, &event);
     }
 
     fn trigger(&mut self, cycle: u64, high: bool) {
@@ -491,26 +343,24 @@ mod tests {
 
     #[test]
     fn accumulates_power_per_cycle() {
-        let mut rec =
-            PowerRecorder::new(LeakageWeights::zero().with_hd(sca_uarch::NodeKind::Mdr, 1.0));
-        rec.begin_cycle(0);
-        rec.node_event(ev(0, 0, 0b111));
-        rec.node_event(ev(0, 0, 0b1));
-        rec.begin_cycle(1);
-        rec.node_event(ev(1, 0, 0b11));
+        let mut rec = PowerRecorder::new(LeakageWeights::zero().with_hd(NodeKind::Mdr, 1.0));
+        PipelineObserver::begin_cycle(&mut rec, 0);
+        PipelineObserver::node_event(&mut rec, ev(0, 0, 0b111));
+        PipelineObserver::node_event(&mut rec, ev(0, 0, 0b1));
+        PipelineObserver::begin_cycle(&mut rec, 1);
+        PipelineObserver::node_event(&mut rec, ev(1, 0, 0b11));
         assert_eq!(rec.cycle_power(), &[4.0, 2.0]);
     }
 
     #[test]
     fn window_extraction() {
-        let mut rec =
-            PowerRecorder::new(LeakageWeights::zero().with_hd(sca_uarch::NodeKind::Mdr, 1.0));
+        let mut rec = PowerRecorder::new(LeakageWeights::zero().with_hd(NodeKind::Mdr, 1.0));
         for c in 0..10 {
-            rec.begin_cycle(c);
-            rec.node_event(ev(c, 0, 1));
+            PipelineObserver::begin_cycle(&mut rec, c);
+            PipelineObserver::node_event(&mut rec, ev(c, 0, 1));
         }
-        rec.trigger(3, true);
-        rec.trigger(7, false);
+        PipelineObserver::trigger(&mut rec, 3, true);
+        PipelineObserver::trigger(&mut rec, 7, false);
         assert_eq!(rec.windowed_power().len(), 4); // cycles 3..7
     }
 
@@ -518,18 +368,80 @@ mod tests {
     fn no_trigger_returns_everything() {
         let mut rec = PowerRecorder::new(LeakageWeights::cortex_a7());
         for c in 0..5 {
-            rec.begin_cycle(c);
+            PipelineObserver::begin_cycle(&mut rec, c);
         }
         assert_eq!(rec.windowed_power().len(), 5);
+    }
+
+    /// Both recorders, each observing a scalar run and a lockstep run,
+    /// share one trigger-window search: the same events must give the
+    /// same window (and the same windowed MDR series) in all four
+    /// configurations, including the edge cases.
+    #[test]
+    fn all_recorders_agree_on_the_trigger_window() {
+        // (trigger edges, expected window)
+        type Case = (&'static [(u64, bool)], (usize, usize));
+        let cases: [Case; 3] = [
+            // No trigger: the whole series.
+            (&[], (0, 10)),
+            // A rising edge with no falling edge: to the series end.
+            (&[(3, true)], (3, 10)),
+            // A falling edge before the first rising edge is ignored.
+            (&[(2, false), (4, true), (8, false)], (4, 8)),
+        ];
+        let kind = NodeKind::Mdr;
+        let weights = LeakageWeights::zero().with_hd(kind, 1.0);
+        for (edges, want) in cases {
+            let mut scalar = PowerRecorder::new(weights.clone());
+            let mut block = PowerRecorder::with_lanes(weights.clone(), 2);
+            let mut component = ComponentPowerRecorder::new(weights.clone());
+            let mut block_component = ComponentPowerRecorder::with_lanes(weights.clone(), 2);
+            for c in 0..10 {
+                let event = ev(c, 0, (1 << (c % 8)) - 1);
+                PipelineObserver::begin_cycle(&mut scalar, c);
+                PipelineObserver::node_event(&mut scalar, event);
+                BlockObserver::begin_cycle(&mut block, c);
+                BlockObserver::node_event(&mut block, 1, event);
+                PipelineObserver::begin_cycle(&mut component, c);
+                PipelineObserver::node_event(&mut component, event);
+                BlockObserver::begin_cycle(&mut block_component, c);
+                BlockObserver::node_event(&mut block_component, 1, event);
+            }
+            for &(cycle, high) in edges {
+                PipelineObserver::trigger(&mut scalar, cycle, high);
+                BlockObserver::trigger(&mut block, cycle, high);
+                PipelineObserver::trigger(&mut component, cycle, high);
+                BlockObserver::trigger(&mut block_component, cycle, high);
+            }
+            for window in [
+                scalar.window(),
+                block.window(),
+                component.window(),
+                block_component.window(),
+            ] {
+                assert_eq!(window, want, "edges {edges:?}");
+            }
+            let series = scalar.windowed_power().to_vec();
+            let mut lane = Vec::new();
+            block.windowed_power_into(1, &mut lane);
+            assert_eq!(lane, series, "edges {edges:?}");
+            assert_eq!(component.windowed_power(kind), series, "edges {edges:?}");
+            block_component.windowed_power_into(1, kind, &mut lane);
+            assert_eq!(lane, series, "edges {edges:?}");
+        }
     }
 
     #[test]
     fn reset_clears_data() {
         let mut rec = PowerRecorder::new(LeakageWeights::cortex_a7());
-        rec.begin_cycle(0);
-        rec.trigger(0, true);
+        PipelineObserver::begin_cycle(&mut rec, 0);
+        PipelineObserver::trigger(&mut rec, 2, true);
         rec.reset();
         assert!(rec.cycle_power().is_empty());
-        assert!(rec.triggers().is_empty());
+        // A stale trigger edge would narrow the next execution's window.
+        for c in 0..5 {
+            PipelineObserver::begin_cycle(&mut rec, c);
+        }
+        assert_eq!(rec.windowed_power().len(), 5);
     }
 }

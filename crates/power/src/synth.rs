@@ -20,9 +20,8 @@ use rand::SeedableRng;
 
 use sca_uarch::{Cpu, CpuBlock, UarchError};
 
-use crate::{
-    BlockPowerRecorder, GaussianNoise, LeakageWeights, PowerRecorder, SamplingConfig, TraceSet,
-};
+use crate::lanes::Lanes;
+use crate::{GaussianNoise, LeakageWeights, PowerRecorder, SamplingConfig, TraceSet};
 
 /// Acquisition campaign parameters.
 #[derive(Clone, Debug)]
@@ -70,9 +69,9 @@ impl AcquisitionConfig {
 }
 
 /// The `power/simulator_runs` telemetry counter: simulator executions
-/// started by trace synthesis (every `cpu.run` issued by
-/// [`TraceSynthesizer::synth_into`] and
-/// [`TraceSynthesizer::probe_samples`], across all threads).
+/// completed by trace synthesis (every lane of every run in
+/// [`TraceSynthesizer::synth_into`], [`TraceSynthesizer::synth_block_into`]
+/// and [`TraceSynthesizer::probe_samples`], across all threads).
 ///
 /// Re-analysis paths that replay a stored corpus assert this counter
 /// does not move — stored traces must never trigger resimulation. The
@@ -83,7 +82,7 @@ fn simulator_runs_counter() -> &'static std::sync::Arc<sca_telemetry::Counter> {
     sca_telemetry::counter!("power/simulator_runs")
 }
 
-/// How many simulator executions trace synthesis has started in this
+/// How many simulator executions trace synthesis has completed in this
 /// process so far. Monotonic; sample it before and after an operation
 /// to count the runs it caused.
 ///
@@ -114,6 +113,8 @@ pub struct SynthScratch {
     accum: Vec<f64>,
     /// One execution's expanded (and noised) sample series.
     samples: Vec<f64>,
+    /// Gather buffer for one lane's windowed per-cycle series.
+    windowed: Vec<f64>,
 }
 
 impl SynthScratch {
@@ -197,54 +198,35 @@ impl TraceSynthesizer {
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
         let samples_per_trace = self.probe_samples(cpu, entry, &generate, &stage)?;
-
-        let threads = self.config.threads.max(1).min(self.config.traces.max(1));
-        if threads <= 1 {
+        let traces = self.config.traces;
+        let synth_range = |range: std::ops::Range<usize>| {
             let mut set = TraceSet::new(samples_per_trace);
             let mut worker_cpu = cpu.clone();
-            for t in 0..self.config.traces {
+            for t in range {
                 let (trace, input) =
                     self.synthesize_trace(&mut worker_cpu, entry, t, &generate, &stage, &post)?;
                 set.push(trace, input);
             }
-            return Ok(set);
+            Ok::<TraceSet, UarchError>(set)
+        };
+        let threads = self.config.threads.max(1).min(traces.max(1));
+        if threads <= 1 {
+            return synth_range(0..traces);
         }
 
         // Contiguous chunks per thread; merged in order afterwards.
-        let chunk = self.config.traces.div_ceil(threads);
-        let mut partials: Vec<Result<TraceSet, UarchError>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..threads {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(self.config.traces);
-                if lo >= hi {
-                    break;
-                }
-                let generate = &generate;
-                let stage = &stage;
-                let post = &post;
-                let template = cpu;
-                handles.push(scope.spawn(move || {
-                    let mut set = TraceSet::new(samples_per_trace);
-                    let mut worker_cpu = template.clone();
-                    for t in lo..hi {
-                        let (trace, input) = self.synthesize_trace(
-                            &mut worker_cpu,
-                            entry,
-                            t,
-                            generate,
-                            stage,
-                            post,
-                        )?;
-                        set.push(trace, input);
-                    }
-                    Ok(set)
-                }));
-            }
-            for handle in handles {
-                partials.push(handle.join().expect("worker panicked"));
-            }
+        let chunk = traces.div_ceil(threads);
+        let synth_range = &synth_range;
+        let partials: Vec<Result<TraceSet, UarchError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|w| w * chunk..((w + 1) * chunk).min(traces))
+                .filter(|range| !range.is_empty())
+                .map(|range| scope.spawn(move || synth_range(range)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("worker panicked"))
+                .collect()
         });
         let mut set = TraceSet::new(samples_per_trace);
         for partial in partials {
@@ -295,8 +277,8 @@ impl TraceSynthesizer {
         probe_cpu.restart_seeded(entry, 0);
         stage(&mut probe_cpu, &input);
         let mut recorder = PowerRecorder::new(self.weights.clone());
-        simulator_runs_counter().inc();
         probe_cpu.run(&mut recorder)?;
+        simulator_runs_counter().inc();
         Ok(self
             .config
             .sampling
@@ -394,39 +376,20 @@ impl TraceSynthesizer {
         S: Fn(&mut Cpu, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
-        let mut rng = StdRng::seed_from_u64(child_seed(self.config.seed, index as u64));
-        let input = generate(&mut rng, index);
-        let executions = self.config.executions_per_trace.max(1);
-        scratch.accum.clear();
-        let mut noise = self.config.noise;
-        let keep = clip.unwrap_or((0, usize::MAX));
-        for execution in 0..executions {
-            let scramble = child_seed(
-                self.config.seed ^ 0x5eed_0f0d_e500,
-                (index as u64) << 8 | execution as u64,
-            );
-            cpu.restart_seeded(entry, scramble);
-            stage(cpu, &input);
-            recorder.reset();
-            simulator_runs_counter().inc();
-            cpu.run(recorder)?;
-            self.config.sampling.expand_into_clipped(
-                recorder.windowed_power(),
-                &mut scratch.samples,
-                keep,
-            );
-            noise.add_to_clipped(&mut rng, &mut scratch.samples, keep);
-            post(&mut rng, &mut scratch.samples);
-            if scratch.accum.is_empty() {
-                scratch.accum.extend_from_slice(&scratch.samples);
-            } else {
-                crate::vecops::add_assign(&mut scratch.accum, &scratch.samples);
-            }
-        }
-        let inv = 1.0 / executions as f64;
-        trace.clear();
-        crate::vecops::scaled_narrow_extend(trace, &scratch.accum, inv);
-        Ok(input)
+        let mut inputs = self
+            .synth_lanes(
+                cpu,
+                recorder,
+                std::slice::from_mut(scratch),
+                std::slice::from_mut(trace),
+                entry,
+                index,
+                1,
+                clip,
+                (generate, stage, post),
+            )?
+            .expect("a scalar CPU never diverges");
+        Ok(inputs.pop().expect("one lane, one input"))
     }
 
     /// Lockstep multi-trace synthesis: like `count` consecutive
@@ -434,12 +397,13 @@ impl TraceSynthesizer {
     /// `base_index..base_index + count`, but every execution steps all
     /// traces through one [`CpuBlock`] in a single pipeline walk.
     ///
-    /// Bit-for-bit identical to the scalar path by construction: each
-    /// lane draws from its own per-index RNG streams (inputs, noise,
-    /// scrambles) exactly as the scalar path does, and the block emits
-    /// per-lane node events in the same order a scalar run would, so the
-    /// f64 accumulation order matches. The differential tests in
-    /// `sca-campaign` pin this across every lane count.
+    /// Bit-for-bit identical to the scalar path by construction: both
+    /// run the same per-execution body, each lane draws from its own
+    /// per-index RNG streams (inputs, noise, scrambles) exactly as the
+    /// scalar path does, and the block emits per-lane node events in the
+    /// same order a scalar run would, so the f64 accumulation order
+    /// matches. The differential tests in `tests/lockstep_conformance.rs`
+    /// pin this across every lane count.
     ///
     /// Returns `None` when the block detects lockstep divergence (data-
     /// dependent control flow or timing); the caller must then fall back
@@ -448,11 +412,16 @@ impl TraceSynthesizer {
     ///
     /// `scratches` and `traces` must each hold at least `count` entries;
     /// `traces[0..count]` are cleared and filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is outside `1..=block.max_lanes()` or the
+    /// buffers are shorter than `count`.
     #[allow(clippy::too_many_arguments)]
     pub fn synth_block_into<G, S, P>(
         &self,
         block: &mut CpuBlock,
-        recorder: &mut BlockPowerRecorder,
+        recorder: &mut PowerRecorder,
         scratches: &mut [SynthScratch],
         traces: &mut [Vec<f32>],
         entry: u32,
@@ -469,62 +438,103 @@ impl TraceSynthesizer {
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
         assert!(count >= 1 && count <= block.max_lanes(), "bad lane count");
-        assert!(scratches.len() >= count && traces.len() >= count);
+        // A block reports every run failure as divergence, so the body
+        // has no error to return here.
+        self.synth_lanes(
+            block,
+            recorder,
+            scratches,
+            traces,
+            entry,
+            base_index,
+            count,
+            clip,
+            (generate, stage, post),
+        )
+        .ok()
+        .flatten()
+    }
 
+    /// The single-channel per-execution body behind both entry points:
+    /// synthesizes traces `base..base + count`, lane `l` carrying trace
+    /// `base + l`. Returns the lanes' inputs, or `None` on lockstep
+    /// divergence.
+    #[allow(clippy::too_many_arguments)]
+    fn synth_lanes<L, G, S, P>(
+        &self,
+        lanes: &mut L,
+        recorder: &mut PowerRecorder,
+        scratches: &mut [SynthScratch],
+        traces: &mut [Vec<f32>],
+        entry: u32,
+        base: usize,
+        count: usize,
+        clip: Option<(usize, usize)>,
+        (generate, stage, post): (&G, &S, &P),
+    ) -> Result<Option<Vec<Vec<u8>>>, UarchError>
+    where
+        L: Lanes<PowerRecorder>,
+        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
+        S: Fn(&mut Cpu, &[u8]) + Sync,
+        P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
+    {
+        assert!(scratches.len() >= count && traces.len() >= count);
         let mut rngs: Vec<StdRng> = (0..count)
-            .map(|l| StdRng::seed_from_u64(child_seed(self.config.seed, (base_index + l) as u64)))
+            .map(|l| StdRng::seed_from_u64(child_seed(self.config.seed, (base + l) as u64)))
             .collect();
-        let inputs: Vec<Vec<u8>> = (0..count)
-            .map(|l| generate(&mut rngs[l], base_index + l))
+        let inputs: Vec<Vec<u8>> = rngs
+            .iter_mut()
+            .enumerate()
+            .map(|(l, rng)| generate(rng, base + l))
             .collect();
         let executions = self.config.executions_per_trace.max(1);
-        let mut noises: Vec<GaussianNoise> = vec![self.config.noise; count];
-        for scratch in scratches.iter_mut().take(count) {
+        let mut noise = self.config.noise;
+        for scratch in &mut scratches[..count] {
             scratch.accum.clear();
         }
         let keep = clip.unwrap_or((0, usize::MAX));
-        // Gather buffer for one lane's windowed series (the recorder
-        // stores lanes interleaved); grows once and is reused across
-        // every (execution, lane) of this group.
-        let mut windowed: Vec<f64> = Vec::new();
         let mut seeds = [0u64; sca_uarch::MAX_LANES];
         for execution in 0..executions {
-            for (l, seed) in seeds.iter_mut().enumerate().take(count) {
+            for (l, seed) in seeds[..count].iter_mut().enumerate() {
                 *seed = child_seed(
                     self.config.seed ^ 0x5eed_0f0d_e500,
-                    ((base_index + l) as u64) << 8 | execution as u64,
+                    ((base + l) as u64) << 8 | execution as u64,
                 );
             }
-            block.restart_seeded(entry, &seeds[..count]);
+            lanes.restart(entry, &seeds[..count]);
             for (l, input) in inputs.iter().enumerate() {
-                stage(block.lane_mut(l), input);
+                stage(lanes.lane_mut(l), input);
             }
             recorder.reset();
-            if block.run(recorder).is_err() {
-                return None;
+            if !lanes.execute(recorder)? {
+                return Ok(None);
             }
             simulator_runs_counter().add(count as u64);
-            for l in 0..count {
-                let scratch = &mut scratches[l];
-                recorder.windowed_power_into(l, &mut windowed);
+            for (l, (scratch, rng)) in scratches.iter_mut().zip(&mut rngs).enumerate() {
+                let SynthScratch {
+                    accum,
+                    samples,
+                    windowed,
+                } = scratch;
+                let series = recorder.lane_window(l, windowed);
                 self.config
                     .sampling
-                    .expand_into_clipped(&windowed, &mut scratch.samples, keep);
-                noises[l].add_to_clipped(&mut rngs[l], &mut scratch.samples, keep);
-                post(&mut rngs[l], &mut scratch.samples);
-                if scratch.accum.is_empty() {
-                    scratch.accum.extend_from_slice(&scratch.samples);
+                    .expand_into_clipped(series, samples, keep);
+                noise.add_to_clipped(rng, samples, keep);
+                post(rng, samples);
+                if accum.is_empty() {
+                    accum.extend_from_slice(samples);
                 } else {
-                    crate::vecops::add_assign(&mut scratch.accum, &scratch.samples);
+                    crate::vecops::add_assign(accum, samples);
                 }
             }
         }
         let inv = 1.0 / executions as f64;
-        for l in 0..count {
-            traces[l].clear();
-            crate::vecops::scaled_narrow_extend(&mut traces[l], &scratches[l].accum, inv);
+        for (trace, scratch) in traces.iter_mut().zip(&scratches[..count]) {
+            trace.clear();
+            crate::vecops::scaled_narrow_extend(trace, &scratch.accum, inv);
         }
-        Some(inputs)
+        Ok(Some(inputs))
     }
 }
 

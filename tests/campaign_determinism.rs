@@ -16,7 +16,8 @@ use superscalar_sca::analysis::{
 use superscalar_sca::campaign::{Campaign, CampaignConfig, CpaSink};
 use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::{
-    AcquisitionConfig, GaussianNoise, LeakageWeights, SamplingConfig, TraceSynthesizer,
+    AcquisitionConfig, GaussianNoise, LeakageWeights, PowerRecorder, SamplingConfig, SynthScratch,
+    TraceSynthesizer,
 };
 use superscalar_sca::prelude::TraceSet;
 use superscalar_sca::uarch::{Cpu, UarchConfig};
@@ -160,15 +161,14 @@ fn non_divisor_batches_are_bit_identical() {
     }
 }
 
-/// The arena fast path (one reused CPU, recorder and scratch buffer per
-/// worker) must produce byte-identical traces to a fresh simulator
-/// state per trace: a trace is a pure function of `(seed, index)`, no
-/// matter how many traces the arena's buffers have already been
-/// through — and no matter in which order the indices are visited.
+/// The arena fast path (one reused CPU, recorder, scratch and trace
+/// buffer per worker, driven through `synth_into`) must produce
+/// byte-identical traces to a fresh simulator state per trace: a trace
+/// is a pure function of `(seed, index)`, no matter how many traces the
+/// worker's buffers have already been through — and no matter in which
+/// order the indices are visited.
 #[test]
 fn arena_reuse_is_byte_identical_to_fresh_simulators() {
-    use superscalar_sca::campaign::SimArena;
-
     let (cpu, entry) = fixture();
     let config = campaign_config(1, 64);
     let synth = TraceSynthesizer::new(
@@ -184,24 +184,35 @@ fn arena_reuse_is_byte_identical_to_fresh_simulators() {
     );
     let post = |_: &mut rand::rngs::StdRng, _: &mut Vec<f64>| {};
 
-    // One arena, reused across every trace — including a revisit of
-    // index 0 after the buffers are thoroughly warm.
-    let mut arena = SimArena::new(&synth, &cpu);
+    // One set of worker buffers, reused across every trace — including
+    // a revisit of index 0 after the buffers are thoroughly warm.
+    let mut worker_cpu = cpu.clone();
+    let mut recorder = PowerRecorder::new(synth.weights().clone());
+    let mut scratch = SynthScratch::new();
+    let mut trace = Vec::new();
     let indices: Vec<usize> = (0..24).chain([0, 7, 23]).collect();
     for &index in &indices {
-        let (arena_trace, arena_input) = {
-            let (trace, input) = arena
-                .synthesize(&synth, entry, index, &generate, &stage, &post)
-                .expect("arena synthesizes");
-            (trace.to_vec(), input)
-        };
+        let input = synth
+            .synth_into(
+                &mut worker_cpu,
+                &mut recorder,
+                &mut scratch,
+                &mut trace,
+                entry,
+                index,
+                None,
+                &generate,
+                &stage,
+                &post,
+            )
+            .expect("reused buffers synthesize");
         // Fresh per-trace state, exactly like the pre-arena engine.
         let mut fresh_cpu = cpu.clone();
         let (fresh_trace, fresh_input) = synth
             .synthesize_trace(&mut fresh_cpu, entry, index, &generate, &stage, &post)
             .expect("fresh synthesizes");
-        assert_eq!(arena_input, fresh_input, "index {index}");
-        assert_eq!(arena_trace, fresh_trace, "index {index}");
+        assert_eq!(input, fresh_input, "index {index}");
+        assert_eq!(trace, fresh_trace, "index {index}");
     }
 }
 
