@@ -114,27 +114,33 @@ impl CpaResult {
         best
     }
 
-    /// The guess with the highest peak |correlation|.
+    /// Every guess's peak |correlation|, computed once (each is a pass
+    /// over the guess's samples).
+    fn peak_magnitudes(&self) -> Vec<f64> {
+        (0..self.guesses).map(|g| self.peak(g).1.abs()).collect()
+    }
+
+    /// The guess with the highest peak |correlation| (the last one on a
+    /// tie).
     pub fn best_guess(&self) -> usize {
+        let peaks = self.peak_magnitudes();
         (0..self.guesses)
             .max_by(|&a, &b| {
-                self.peak(a)
-                    .1
-                    .abs()
-                    .partial_cmp(&self.peak(b).1.abs())
+                peaks[a]
+                    .partial_cmp(&peaks[b])
                     .expect("correlations are finite")
             })
             .expect("at least one guess")
     }
 
-    /// Guesses ordered best-first by peak |correlation|.
+    /// Guesses ordered best-first by peak |correlation| (a stable sort:
+    /// ties keep ascending guess order).
     pub fn ranking(&self) -> Vec<usize> {
+        let peaks = self.peak_magnitudes();
         let mut order: Vec<usize> = (0..self.guesses).collect();
         order.sort_by(|&a, &b| {
-            self.peak(b)
-                .1
-                .abs()
-                .partial_cmp(&self.peak(a).1.abs())
+            peaks[b]
+                .partial_cmp(&peaks[a])
                 .expect("correlations are finite")
         });
         order
@@ -629,6 +635,63 @@ mod tests {
         );
         for g in 0..256 {
             assert_eq!(a.series(g), b.series(g), "guess {g}");
+        }
+    }
+
+    /// `ranking`/`best_guess` sort on peaks computed once; the naive
+    /// versions recompute both peaks inside every comparison. Same
+    /// comparisons, same stable order — checked on random matrices
+    /// whose rows often share their peak magnitude (ties, including
+    /// opposite signs).
+    #[test]
+    fn ranking_matches_the_naive_comparator_sort_with_ties() {
+        use rand::{Rng, SeedableRng};
+        let naive_ranking = |r: &CpaResult| {
+            let mut order: Vec<usize> = (0..r.guesses).collect();
+            order.sort_by(|&a, &b| {
+                r.peak(b)
+                    .1
+                    .abs()
+                    .partial_cmp(&r.peak(a).1.abs())
+                    .expect("finite")
+            });
+            order
+        };
+        let naive_best = |r: &CpaResult| {
+            (0..r.guesses)
+                .max_by(|&a, &b| {
+                    r.peak(a)
+                        .1
+                        .abs()
+                        .partial_cmp(&r.peak(b).1.abs())
+                        .expect("finite")
+                })
+                .expect("a guess")
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7a2c);
+        for case in 0..300 {
+            let guesses = rng.gen_range(1..40usize);
+            let samples = rng.gen_range(1..12usize);
+            // Few distinct magnitudes, so peaks tie often.
+            let levels = rng.gen_range(1..5u32);
+            let corr = (0..guesses * samples)
+                .map(|_| {
+                    let v = f64::from(rng.gen_range(0..=levels)) / f64::from(levels) * 0.5;
+                    if rng.gen_bool(0.5) {
+                        -v
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            let result = CpaResult {
+                guesses,
+                samples,
+                corr,
+                n: 10,
+            };
+            assert_eq!(result.ranking(), naive_ranking(&result), "case {case}");
+            assert_eq!(result.best_guess(), naive_best(&result), "case {case}");
         }
     }
 

@@ -251,7 +251,8 @@ impl CommonArgs {
     }
 
     /// Rejects `--lanes` in binaries whose campaigns run at the fixed
-    /// default lane count (`table2`, `ablation`), exiting with status 2
+    /// default lane count (every campaign binary but `portfolio`),
+    /// exiting with status 2
     /// — like `lint`, a flag that cannot change anything must not be
     /// accepted.
     pub fn reject_lanes(&self, binary: &str) {

@@ -22,7 +22,7 @@
 
 use rand::rngs::StdRng;
 
-use sca_power::{PowerRecorder, SynthScratch, TraceSynthesizer};
+use sca_power::{PowerRecorder, SampleWindow, SynthScratch, TraceSynthesizer};
 use sca_uarch::{CacheCounts, Cpu, CpuBlock, UarchError};
 
 use crate::lanes::LaneGroup;
@@ -34,7 +34,7 @@ struct ScalarSim {
     cpu: Cpu,
     recorder: PowerRecorder,
     scratch: SynthScratch,
-    /// The current trace (full length, before windowing).
+    /// The current trace's analysis window.
     trace: Vec<f32>,
 }
 
@@ -134,11 +134,13 @@ impl SimArena {
     }
 
     /// Synthesizes the `count` consecutive traces starting at
-    /// `base_index`, pads each to `full` samples, and appends their
-    /// `[start, start + samples)` windows (and inputs) to the current
-    /// batch in index order. When `clip` is true the synthesis itself is
-    /// clipped to the window (legal only when the post hook is a no-op
-    /// — out-of-window samples are then discarded unseen).
+    /// `base_index` and appends their `[start, start + samples)` sample
+    /// windows (zero-padded where an execution ends early) and inputs to
+    /// the current batch in index order. When `gated` is true synthesis
+    /// is gated to the window (legal only when the post hook is a no-op
+    /// — out-of-window samples are then never produced); otherwise each
+    /// execution is processed whole and cut to the window as it is
+    /// averaged.
     ///
     /// The group runs through the lockstep block when the arena has one
     /// (see [`LaneGroup::run`] for the divergence policy); the results
@@ -150,8 +152,8 @@ impl SimArena {
         entry: u32,
         base_index: usize,
         count: usize,
-        (full, start, samples): (usize, usize, usize),
-        clip: bool,
+        (start, samples): (usize, usize),
+        gated: bool,
         generate: &G,
         stage: &S,
         post: &P,
@@ -161,7 +163,18 @@ impl SimArena {
         S: Fn(&mut Cpu, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
-        let clip = clip.then_some((start, start + samples));
+        let window = SampleWindow {
+            start,
+            end: start + samples,
+            gated,
+        };
+        let push = |batch: &mut Batch, trace: &[f32], input: Vec<u8>| {
+            batch.flat.extend_from_slice(trace);
+            batch
+                .flat
+                .resize(batch.flat.len() + samples - trace.len(), 0.0);
+            batch.inputs.push(input);
+        };
         let poisoned = self.lanes.run(
             &mut self.batch,
             count,
@@ -174,7 +187,7 @@ impl SimArena {
                     entry,
                     base_index,
                     count,
-                    clip,
+                    window,
                     generate,
                     stage,
                     post,
@@ -184,10 +197,8 @@ impl SimArena {
                 let counts = block.block.drain_cache_counts(count);
                 batch.tally.cache.accumulate(&counts);
                 batch.tally.lockstep_traces += count as u64;
-                for (trace, input) in block.traces.iter_mut().zip(inputs) {
-                    trace.resize(full, 0.0);
-                    batch.flat.extend_from_slice(&trace[start..start + samples]);
-                    batch.inputs.push(input);
+                for (trace, input) in block.traces.iter().zip(inputs) {
+                    push(batch, trace, input);
                 }
                 true
             },
@@ -199,16 +210,12 @@ impl SimArena {
                     &mut sim.trace,
                     entry,
                     base_index + offset,
-                    clip,
+                    window,
                     generate,
                     stage,
                     post,
                 )?;
-                sim.trace.resize(full, 0.0);
-                batch
-                    .flat
-                    .extend_from_slice(&sim.trace[start..start + samples]);
-                batch.inputs.push(input);
+                push(batch, &sim.trace, input);
                 batch.tally.scalar_traces += 1;
                 Ok(())
             },

@@ -153,8 +153,8 @@ impl Campaign {
         K: CampaignSink,
     {
         // No post hook ⇒ everything outside the analysis window is
-        // discarded unseen, so synthesis may clip to the window
-        // (in-window samples stay bit-identical; see `synth_into`).
+        // discarded unseen, so synthesis is gated to the window
+        // (in-window samples stay bit-identical; see `SampleWindow`).
         self.run_inner(cpu, entry, generate, stage, |_, _| {}, sink, true)
     }
 
@@ -183,19 +183,19 @@ impl Campaign {
     {
         // A post hook sees (and may shift) the whole trace — e.g. the
         // OS-noise jitter moves samples into the window — so synthesis
-        // must stay unclipped here.
+        // processes whole executions here.
         self.run_inner(cpu, entry, generate, stage, post, sink, false)
     }
 
     /// Probes the full trace length and resolves the analysis window
-    /// inside it: `(full, start, samples)`.
+    /// inside it: `(start, samples)`.
     pub(crate) fn probe_window<G, S>(
         &self,
         cpu: &Cpu,
         entry: u32,
         generate: &G,
         stage: &S,
-    ) -> Result<(usize, usize, usize), UarchError>
+    ) -> Result<(usize, usize), UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
         S: Fn(&mut Cpu, &[u8]) + Sync,
@@ -206,7 +206,7 @@ impl Campaign {
         };
         let (start, len) = self.window.unwrap_or((0, full));
         let start = start.min(full);
-        Ok((full, start, len.min(full - start)))
+        Ok((start, len.min(full - start)))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -218,7 +218,7 @@ impl Campaign {
         stage: S,
         post: P,
         sink: impl Fn(usize) -> K + Sync,
-        clip: bool,
+        gated: bool,
     ) -> Result<K, UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
@@ -226,7 +226,7 @@ impl Campaign {
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
         K: CampaignSink,
     {
-        let (full, start, samples) = self.probe_window(cpu, entry, &generate, &stage)?;
+        let (start, samples) = self.probe_window(cpu, entry, &generate, &stage)?;
         let plan = self.plan();
         sca_telemetry::counter!("campaign/traces_planned").add(plan.items as u64);
         // Worker threads have empty span stacks; graft their phase spans
@@ -249,8 +249,8 @@ impl Campaign {
                             entry,
                             index,
                             group,
-                            (full, start, samples),
-                            clip,
+                            (start, samples),
+                            gated,
                             &generate,
                             &stage,
                             &post,

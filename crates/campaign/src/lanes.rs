@@ -1,4 +1,5 @@
-//! The group dispatcher shared by every campaign worker.
+//! The group dispatcher shared by every campaign worker (and the node
+//! audit in `sca-core`).
 //!
 //! A group of more than one consecutive trace goes through the worker's
 //! lockstep block while it still has one; everything else runs trace by
@@ -11,9 +12,11 @@
 /// A worker's simulation lanes: the scalar lane `S`, always present, and
 /// an optional lockstep block `B`.
 #[derive(Clone, Debug)]
-pub(crate) struct LaneGroup<S, B> {
-    pub(crate) scalar: S,
-    pub(crate) block: Option<B>,
+pub struct LaneGroup<S, B> {
+    /// The scalar lane.
+    pub scalar: S,
+    /// The lockstep block, until a group diverges.
+    pub block: Option<B>,
 }
 
 impl<S, B> LaneGroup<S, B> {
@@ -26,7 +29,7 @@ impl<S, B> LaneGroup<S, B> {
     /// # Errors
     ///
     /// Propagates the first scalar error.
-    pub(crate) fn run<C, E>(
+    pub fn run<C, E>(
         &mut self,
         out: &mut C,
         count: usize,

@@ -160,6 +160,7 @@ mod store_run;
 pub(crate) use arena::SimArena;
 pub use component::ComponentArena;
 pub use engine::{Campaign, CampaignConfig, DEFAULT_LANES};
+pub use lanes::LaneGroup;
 pub use shard::{run_sharded, Mergeable, ShardPlan, DEFAULT_BATCH};
 pub use sink::{CampaignSink, Checkpointable, CorrSink, CpaSink, TtestSink};
 pub use store_run::{reanalyze_store, CampaignError, KillPoint, StoreOptions, StoredRunReport};

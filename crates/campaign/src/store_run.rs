@@ -210,7 +210,7 @@ impl Campaign {
     /// Determinism: a resumed run's sink is byte-identical to an
     /// uninterrupted stored run with the same `checkpoint_every` and
     /// thread count (see the module docs). Like [`Campaign::run`], this
-    /// is the no-post-hook path — synthesis clips to the window.
+    /// is the no-post-hook path — synthesis is gated to the window.
     ///
     /// # Errors
     ///
@@ -328,7 +328,7 @@ impl Campaign {
 
         // Slow path: probe the window, open (validating) or create the
         // store, and run segment by segment.
-        let (full, start, samples) = self.probe_window(cpu, entry, &generate, &stage)?;
+        let (start, samples) = self.probe_window(cpu, entry, &generate, &stage)?;
         let input_len = self.synth.input_for(0, &generate).len() as u64;
         let expected = StoreMeta {
             key,
@@ -369,7 +369,7 @@ impl Campaign {
                 &sink,
                 &store,
                 high_water..seg_end,
-                (full, start, samples),
+                (start, samples),
                 opts.kill,
             )?;
             master.merge(segment);
@@ -414,7 +414,7 @@ impl Campaign {
         sink: &(impl Fn(usize) -> K + Sync),
         store: &TraceStore,
         segment: std::ops::Range<u64>,
-        (full, start, samples): (usize, usize, usize),
+        (start, samples): (usize, usize),
         kill: KillPoint,
     ) -> Result<K, CampaignError>
     where
@@ -447,7 +447,7 @@ impl Campaign {
                             entry,
                             (seg_start as usize) + local,
                             group,
-                            (full, start, samples),
+                            (start, samples),
                             true,
                             generate,
                             stage,

@@ -4,10 +4,9 @@
 //!
 //! Given a program, a way to stage random inputs, and a set of *secret
 //! expressions* (e.g. "the Hamming distance between share 0 and share 1
-//! of a masked value"), the auditor runs the program many times under a
-//! [`sca_uarch::RecordingObserver`], collects the per-node transition
-//! activity, and reports every `(node, cycle)` whose switching correlates
-//! with a secret expression. No power model or noise is involved: this is
+//! of a masked value"), the auditor runs the program many times, collects
+//! the per-node transition activity, and reports every `(node, cycle)`
+//! whose switching correlates with a secret expression. No power model or noise is involved: this is
 //! the noise-free, microarchitecture-aware upper bound on what an
 //! attacker could see — exactly what a developer wants from a
 //! pre-silicon/pre-deployment check.
@@ -25,8 +24,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sca_analysis::{pearson, significance_threshold};
-use sca_isa::Program;
-use sca_uarch::{Cpu, Node, RecordingObserver, UarchConfig, UarchError};
+use sca_campaign::LaneGroup;
+use sca_isa::{Insn, Program};
+use sca_uarch::{
+    BlockObserver, Cpu, CpuBlock, Node, NodeEvent, PipelineObserver, RecordingObserver,
+    UarchConfig, UarchError, MAX_LANES,
+};
 
 /// Boxed secret-expression function.
 pub type SecretFn = Box<dyn Fn(&[u8]) -> f64 + Send + Sync>;
@@ -158,10 +161,311 @@ impl AuditReport {
 /// `stage` receives the CPU and the input bytes before every execution;
 /// inputs are uniform random bytes of length `input_len`.
 ///
+/// Executions run in lockstep groups of up to [`MAX_LANES`] through a
+/// [`CpuBlock`] cloned from the warmed CPU; a group that diverges
+/// (data-dependent control flow or timing) re-runs on the scalar CPU,
+/// which then takes every remaining execution. As in campaigns, an
+/// execution must not depend on what earlier executions left behind:
+/// `stage` re-initializes everything the program reads.
+///
 /// # Errors
 ///
 /// Propagates simulator faults.
 pub fn audit_program(
+    uarch: &UarchConfig,
+    program: &Program,
+    input_len: usize,
+    stage: impl Fn(&mut Cpu, &[u8]),
+    models: &[SecretModel],
+    config: &AuditConfig,
+) -> Result<AuditReport, UarchError> {
+    audit_program_at_lanes(uarch, program, input_len, stage, models, config, MAX_LANES)
+}
+
+/// [`audit_program`] at an explicit lockstep lane count (clamped to
+/// `1..=`[`MAX_LANES`]; 1 runs every execution on the scalar CPU), for
+/// the lane-count conformance tests.
+///
+/// # Errors
+///
+/// Propagates simulator faults.
+#[doc(hidden)]
+pub fn audit_program_at_lanes(
+    uarch: &UarchConfig,
+    program: &Program,
+    input_len: usize,
+    stage: impl Fn(&mut Cpu, &[u8]),
+    models: &[SecretModel],
+    config: &AuditConfig,
+    lanes: usize,
+) -> Result<AuditReport, UarchError> {
+    use rand::Rng;
+
+    let mut cpu = Cpu::new(uarch.clone());
+    cpu.load(program)?;
+    // Warm-up.
+    stage(&mut cpu, &vec![0u8; input_len]);
+    cpu.run(&mut sca_uarch::NullObserver)?;
+
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let executions = config.executions;
+    let inputs: Vec<Vec<u8>> = (0..executions)
+        .map(|_| {
+            let mut input = vec![0u8; input_len];
+            rng.fill(&mut input[..]);
+            input
+        })
+        .collect();
+    let seed = |execution: usize| 0xaad017 ^ execution as u64;
+
+    let lanes = lanes.clamp(1, MAX_LANES);
+    let mut group = LaneGroup {
+        block: (lanes > 1).then(|| CpuBlock::from_template(&cpu, lanes)),
+        scalar: cpu,
+    };
+    let mut activity = Activity::new(config.window, executions);
+    for first in (0..executions).step_by(lanes) {
+        let count = lanes.min(executions - first);
+        group.run(
+            &mut activity,
+            count,
+            |block, activity| {
+                let seeds: Vec<u64> = (first..first + count).map(seed).collect();
+                block.restart_seeded(program.entry(), &seeds);
+                for (lane, input) in inputs[first..first + count].iter().enumerate() {
+                    stage(block.lane_mut(lane), input);
+                }
+                let mark = activity.begin(first);
+                let committed = block.run(activity).is_ok();
+                if !committed {
+                    activity.rollback(mark, first..first + count);
+                }
+                committed
+            },
+            |cpu, activity, offset| {
+                let execution = first + offset;
+                cpu.restart_seeded(program.entry(), seed(execution));
+                stage(cpu, &inputs[execution]);
+                activity.begin(execution);
+                cpu.run(activity).map(|_| ())
+            },
+        )?;
+    }
+
+    let mut retire_lines: BTreeMap<u64, usize> = BTreeMap::new();
+    for &(cycle, addr) in &activity.retirements {
+        if let Some(line) = program.source_line(addr) {
+            retire_lines.insert(cycle, line);
+        }
+    }
+    let threshold = significance_threshold(executions as u64, config.confidence);
+    let mut findings = Vec::new();
+    for model in models {
+        let predictions: Vec<f64> = inputs.iter().map(|i| (model.f)(i)).collect();
+        for (node, cycle, series) in activity.series() {
+            if let Some(finding) = finding(
+                model,
+                &predictions,
+                series,
+                node,
+                cycle,
+                &retire_lines,
+                threshold,
+            ) {
+                findings.push(finding);
+            }
+        }
+    }
+    Ok(report(findings, executions))
+}
+
+/// The finding for one `(node, cycle)` series, if it correlates with a
+/// model's predictions at `threshold`.
+fn finding(
+    model: &SecretModel,
+    predictions: &[f64],
+    series: &[f64],
+    node: Node,
+    cycle: u64,
+    retire_lines: &BTreeMap<u64, usize>,
+    threshold: f64,
+) -> Option<Finding> {
+    let corr = pearson(predictions, series);
+    (corr.abs() >= threshold).then(|| Finding {
+        node,
+        cycle,
+        model: model.name.clone(),
+        corr,
+        // Attribute to the closest retirement at or after the event
+        // cycle (approximate source location).
+        source_line: retire_lines
+            .range(cycle..)
+            .next()
+            .or_else(|| retire_lines.range(..cycle).next_back())
+            .map(|(_, &line)| line),
+    })
+}
+
+/// Orders findings strongest first (stable, so ties keep model-major,
+/// then `(node, cycle)`, order).
+fn report(mut findings: Vec<Finding>, executions: usize) -> AuditReport {
+    findings.sort_by(|a, b| b.corr.abs().partial_cmp(&a.corr.abs()).expect("finite"));
+    AuditReport {
+        findings,
+        executions,
+    }
+}
+
+/// The audit's activity recorder: per-execution Hamming distances of
+/// every `(node, cycle)` transition inside the audit window, for a
+/// scalar run (one execution) or a lockstep group (one per lane).
+///
+/// A dense `(cycle, node)` table maps each key to a row the first time
+/// any execution asserts it; a row holds one value per execution (0
+/// where an execution never asserted the key, the last assertion where
+/// it asserted it several times), so memory is at most the keys seen ×
+/// the executions. Retirements are kept for execution 0 only (they
+/// attribute source lines).
+#[derive(Debug)]
+struct Activity {
+    /// Absolute cycle range `[start, end)` recorded.
+    window: (u64, u64),
+    executions: usize,
+    /// Row id + 1 of each `(cycle - start) * Node::COUNT + node` slot
+    /// (0: not seen yet).
+    slots: Vec<u32>,
+    /// `(node, cycle)` of each row, in first-seen order.
+    keys: Vec<(Node, u64)>,
+    /// Row-major `keys × executions` Hamming distances.
+    rows: Vec<f64>,
+    /// The execution lane 0 runs (lane `l` runs `first + l`).
+    first: usize,
+    /// Execution 0's `(cycle, addr)` retirements.
+    retirements: Vec<(u64, u32)>,
+}
+
+impl Activity {
+    fn new(window: Option<(u64, u64)>, executions: usize) -> Activity {
+        Activity {
+            window: window.unwrap_or((0, u64::MAX)),
+            executions,
+            slots: Vec::new(),
+            keys: Vec::new(),
+            rows: Vec::new(),
+            first: 0,
+            retirements: Vec::new(),
+        }
+    }
+
+    /// Starts the run of executions `first..` (one per lane) and returns
+    /// the mark [`Activity::rollback`] restores.
+    fn begin(&mut self, first: usize) -> usize {
+        self.first = first;
+        self.keys.len()
+    }
+
+    /// Forgets everything a diverged group recorded: the rows it created
+    /// (whose keys may never be asserted by a scalar run), its values in
+    /// older rows, and its retirements.
+    fn rollback(&mut self, mark: usize, group: std::ops::Range<usize>) {
+        for &(node, cycle) in &self.keys[mark..] {
+            let slot = self.slot(node, cycle);
+            self.slots[slot] = 0;
+        }
+        self.keys.truncate(mark);
+        self.rows.truncate(mark * self.executions);
+        for row in self.rows.chunks_exact_mut(self.executions) {
+            row[group.clone()].fill(0.0);
+        }
+        if group.contains(&0) {
+            self.retirements.clear();
+        }
+    }
+
+    fn slot(&self, node: Node, cycle: u64) -> usize {
+        (cycle - self.window.0) as usize * Node::COUNT + node.dense_index()
+    }
+
+    /// The row of `(node, cycle)`, created on first sight; `None` outside
+    /// the window.
+    fn row(&mut self, node: Node, cycle: u64) -> Option<usize> {
+        if cycle < self.window.0 || cycle >= self.window.1 {
+            return None;
+        }
+        let slot = self.slot(node, cycle);
+        if slot >= self.slots.len() {
+            self.slots.resize((slot / Node::COUNT + 1) * Node::COUNT, 0);
+        }
+        let id = match self.slots[slot] {
+            0 => {
+                self.keys.push((node, cycle));
+                self.rows.resize(self.keys.len() * self.executions, 0.0);
+                self.slots[slot] = self.keys.len() as u32;
+                self.keys.len()
+            }
+            id => id as usize,
+        };
+        Some(id - 1)
+    }
+
+    /// Every row with its key, in `(node, cycle)` order.
+    fn series(&self) -> impl Iterator<Item = (Node, u64, &[f64])> {
+        let mut order: Vec<usize> = (0..self.keys.len()).collect();
+        order.sort_unstable_by_key(|&row| self.keys[row]);
+        order.into_iter().map(move |row| {
+            let (node, cycle) = self.keys[row];
+            let series = &self.rows[row * self.executions..(row + 1) * self.executions];
+            (node, cycle, series)
+        })
+    }
+}
+
+impl PipelineObserver for Activity {
+    fn node_event(&mut self, event: NodeEvent) {
+        BlockObserver::node_event(self, 0, event);
+    }
+
+    fn retire(&mut self, cycle: u64, addr: u32, insn: Insn) {
+        BlockObserver::retire(self, cycle, addr, insn);
+    }
+}
+
+impl BlockObserver for Activity {
+    fn node_event(&mut self, lane: usize, event: NodeEvent) {
+        if let Some(row) = self.row(event.node, event.cycle) {
+            self.rows[row * self.executions + self.first + lane] =
+                f64::from(event.hamming_distance());
+        }
+    }
+
+    fn node_events(&mut self, events: &[NodeEvent]) {
+        let Some(first) = events.first() else {
+            return;
+        };
+        if let Some(row) = self.row(first.node, first.cycle) {
+            let base = row * self.executions + self.first;
+            for (value, event) in self.rows[base..base + events.len()].iter_mut().zip(events) {
+                *value = f64::from(event.hamming_distance());
+            }
+        }
+    }
+
+    fn retire(&mut self, cycle: u64, addr: u32, _insn: Insn) {
+        if self.first == 0 {
+            self.retirements.push((cycle, addr));
+        }
+    }
+}
+
+/// The audit as it ran before lockstep: one execution at a time under a
+/// [`RecordingObserver`], activity gathered in a `BTreeMap`. Kept as the
+/// reference the lockstep audit is tested against.
+///
+/// # Errors
+///
+/// Propagates simulator faults.
+#[doc(hidden)]
+pub fn audit_program_reference(
     uarch: &UarchConfig,
     program: &Program,
     input_len: usize,
@@ -216,30 +520,18 @@ pub fn audit_program(
     for model in models {
         let predictions: Vec<f64> = inputs.iter().map(|i| (model.f)(i)).collect();
         for ((node, cycle), series) in &activity {
-            let corr = pearson(&predictions, series);
-            if corr.abs() >= threshold {
-                // Attribute to the closest retirement at or after the
-                // event cycle (approximate source location).
-                let source_line = retire_lines
-                    .range(cycle..)
-                    .next()
-                    .or_else(|| retire_lines.range(..cycle).next_back())
-                    .map(|(_, &line)| line);
-                findings.push(Finding {
-                    node: *node,
-                    cycle: *cycle,
-                    model: model.name.clone(),
-                    corr,
-                    source_line,
-                });
-            }
+            findings.extend(finding(
+                model,
+                &predictions,
+                series,
+                *node,
+                *cycle,
+                &retire_lines,
+                threshold,
+            ));
         }
     }
-    findings.sort_by(|a, b| b.corr.abs().partial_cmp(&a.corr.abs()).expect("finite"));
-    Ok(AuditReport {
-        findings,
-        executions: config.executions,
-    })
+    Ok(report(findings, config.executions))
 }
 
 #[cfg(test)]

@@ -37,7 +37,10 @@ mod leakchar;
 mod scenarios;
 mod targets;
 
-pub use audit::{audit_program, AuditConfig, AuditReport, Finding, SecretModel};
+pub use audit::{
+    audit_program, audit_program_at_lanes, audit_program_reference, AuditConfig, AuditReport,
+    Finding, SecretModel,
+};
 pub use cpi::{
     insn_of_class, measure_cpi, stage_cpi_registers, CpiBenchmark, CpiMeasurement, LDST_BASE_A,
     LDST_BASE_B, LDST_SCRATCH,
@@ -52,4 +55,4 @@ pub use scenarios::{
     audit_scenario, masking_scenarios, operand_path_leaks, share_models, stage_shares,
     MaskingScenario,
 };
-pub use targets::{audit_cipher_target, leak_paths};
+pub use targets::{audit_cipher_target, audit_cipher_target_with, leak_paths};

@@ -9,8 +9,9 @@
 //! expressions, and its primary window is resolved into absolute
 //! cycles by one probe run. No cipher is named anywhere.
 
+use sca_isa::Program;
 use sca_target::{resolve_window, CipherTarget, TargetError};
-use sca_uarch::{Node, UarchConfig};
+use sca_uarch::{Cpu, Node, UarchConfig, UarchError};
 
 use crate::{audit_program, AuditConfig, AuditReport, SecretModel};
 
@@ -31,6 +32,40 @@ pub fn audit_cipher_target(
     uarch: &UarchConfig,
     config: &AuditConfig,
 ) -> Result<AuditReport, TargetError> {
+    audit_cipher_target_with(
+        target,
+        uarch,
+        config,
+        |uarch, program, len, stage, models, config| {
+            audit_program(uarch, program, len, stage, models, config)
+        },
+    )
+}
+
+/// [`audit_cipher_target`] through an explicit audit engine with
+/// [`audit_program`]'s signature, for the conformance tests that pin
+/// the lockstep audit against the scalar reference.
+///
+/// # Errors
+///
+/// As [`audit_cipher_target`].
+#[doc(hidden)]
+pub fn audit_cipher_target_with<A>(
+    target: &dyn CipherTarget,
+    uarch: &UarchConfig,
+    config: &AuditConfig,
+    audit: A,
+) -> Result<AuditReport, TargetError>
+where
+    A: FnOnce(
+        &UarchConfig,
+        &Program,
+        usize,
+        &dyn Fn(&mut Cpu, &[u8]),
+        &[SecretModel],
+        &AuditConfig,
+    ) -> Result<AuditReport, UarchError>,
+{
     let cpu = target.build(uarch)?;
     let window = resolve_window(target, &cpu, &target.primary_window())?;
     // The audit draws raw random input bytes itself, bypassing the
@@ -49,11 +84,11 @@ pub fn audit_cipher_target(
             })
         })
         .collect();
-    Ok(audit_program(
+    Ok(audit(
         uarch,
         target.program(),
         target.input_len(),
-        |cpu, input| {
+        &|cpu: &mut Cpu, input: &[u8]| {
             target
                 .stage_constants(cpu)
                 .expect("target memory contract is mapped");

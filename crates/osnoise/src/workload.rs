@@ -100,7 +100,8 @@ impl WorkloadProfile {
         }
         let mut recorder = PowerRecorder::new(LeakageWeights::cortex_a7());
         cpu.run(&mut recorder)?;
-        let samples = sampling.expand(recorder.cycle_power());
+        // The workload has no trigger, so its window is the whole run.
+        let samples = sampling.expand(recorder.windowed_power());
         Ok(WorkloadProfile { samples, gain: 1.0 })
     }
 

@@ -10,7 +10,7 @@
 //! * [`LeakageWeights`] — per-component weights (register file silent,
 //!   shifter at 1/10, etc.);
 //! * [`PowerRecorder`] — a pipeline observer integrating per-cycle power
-//!   (per lane, for lockstep runs);
+//!   (per lane, for lockstep runs) inside a trigger-relative cycle gate;
 //! * [`SamplingConfig`] — 500 MS/s-style cycle→sample expansion;
 //! * [`GaussianNoise`]/[`NoiseSource`] — measurement and environment noise;
 //! * [`TraceSynthesizer`]/[`AcquisitionConfig`] — deterministic,
@@ -40,5 +40,5 @@ pub use model::LeakageWeights;
 pub use noise::{GaussianNoise, NoiseSource};
 pub use recorder::{ComponentPowerRecorder, PowerRecorder};
 pub use sampling::{cycle_window_to_samples, SamplingConfig};
-pub use synth::{simulator_runs, AcquisitionConfig, SynthScratch, TraceSynthesizer};
+pub use synth::{simulator_runs, AcquisitionConfig, SampleWindow, SynthScratch, TraceSynthesizer};
 pub use trace::TraceSet;

@@ -58,29 +58,42 @@ impl GaussianNoise {
 }
 
 impl GaussianNoise {
-    /// Like [`NoiseSource::add_to`], but only *writes* noise inside the
-    /// `[keep.0, keep.1)` sample window. The RNG is advanced exactly as
-    /// `add_to` advances it — one `gen_range` + one `gen` per sample
-    /// whenever `sd != 0` — so the in-window values are bit-identical
-    /// to the unclipped path; only the Box–Muller transcendentals
-    /// (`ln`/`sqrt`/`cos`) of discarded samples are skipped.
+    /// Like [`NoiseSource::add_to`] on a `total`-sample series of which
+    /// only the samples `[offset, offset + samples.len())` are kept and
+    /// passed in. The RNG is advanced exactly as `add_to` over all
+    /// `total` samples advances it — one `gen_range` + one `gen` per
+    /// sample whenever `sd != 0` — so the kept values are bit-identical
+    /// to the full path's; the skipped samples cost their two draws but
+    /// none of the Box–Muller transcendentals (`ln`/`sqrt`/`cos`).
     ///
-    /// This is the campaign fast path: a windowed campaign crops every
-    /// trace to its analysis window *after* noising, so out-of-window
-    /// noise is dead work — a full AES execution spans ~12k samples of
-    /// which a round-1 window keeps a few hundred. Callers that post-
-    /// process whole traces (e.g. the OS-noise jitter, which shifts
-    /// samples *into* the window) must keep using `add_to`.
-    pub fn add_to_clipped(&mut self, rng: &mut StdRng, samples: &mut [f64], keep: (usize, usize)) {
-        for (i, s) in samples.iter_mut().enumerate() {
-            if i >= keep.0 && i < keep.1 {
-                *s += self.baseline + self.sample(rng);
-            } else if self.sd != 0.0 {
-                // Consume the same two draws `sample` would, keeping
-                // the per-trace RNG stream aligned sample for sample.
-                let _: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let _: f64 = rng.gen();
-            }
+    /// This is the campaign fast path: a windowed campaign keeps only
+    /// its analysis window — a few hundred samples of a cipher run that
+    /// spans tens of thousands. Callers that post-process whole traces
+    /// (e.g. the OS-noise jitter, which shifts samples *into* the
+    /// window) pass the whole series (`offset` 0, `total` its length).
+    pub fn add_to_clipped(
+        &mut self,
+        rng: &mut StdRng,
+        samples: &mut [f64],
+        offset: usize,
+        total: usize,
+    ) {
+        let before = offset.min(total);
+        let after = total.saturating_sub(offset + samples.len());
+        self.skip(rng, before);
+        self.add_to(rng, samples);
+        self.skip(rng, after);
+    }
+
+    /// Consumes the draws `count` samples would, keeping the per-trace
+    /// RNG stream aligned sample for sample.
+    fn skip(&self, rng: &mut StdRng, count: usize) {
+        if self.sd == 0.0 {
+            return;
+        }
+        for _ in 0..count {
+            let _: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let _: f64 = rng.gen();
         }
     }
 }
@@ -140,19 +153,15 @@ mod tests {
         };
         let mut full = vec![0.0f64; 64];
         make().add_to(&mut StdRng::seed_from_u64(99), &mut full);
-        let mut clipped = vec![0.0f64; 64];
-        make().add_to_clipped(&mut StdRng::seed_from_u64(99), &mut clipped, (20, 40));
-        assert_eq!(&clipped[20..40], &full[20..40], "window bit-identical");
-        assert!(clipped[..20]
-            .iter()
-            .chain(&clipped[40..])
-            .all(|&s| s == 0.0));
+        let mut clipped = vec![0.0f64; 20];
+        make().add_to_clipped(&mut StdRng::seed_from_u64(99), &mut clipped, 20, 64);
+        assert_eq!(&clipped[..], &full[20..40], "window bit-identical");
         // The RNG stream stays aligned past the window: appending more
         // draws after either pass yields the same values.
         let mut a = StdRng::seed_from_u64(99);
         let mut b = StdRng::seed_from_u64(99);
         make().add_to(&mut a, &mut vec![0.0; 64]);
-        make().add_to_clipped(&mut b, &mut vec![0.0; 64], (0, 3));
+        make().add_to_clipped(&mut b, &mut [0.0; 3], 0, 64);
         assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "stream alignment");
     }
 
@@ -163,9 +172,9 @@ mod tests {
             baseline: 2.0,
         };
         let mut a = StdRng::seed_from_u64(5);
-        let mut samples = vec![0.0f64; 8];
-        noise.add_to_clipped(&mut a, &mut samples, (2, 4));
-        assert_eq!(samples, vec![0.0, 0.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
+        let mut samples = vec![0.0f64; 2];
+        noise.add_to_clipped(&mut a, &mut samples, 2, 8);
+        assert_eq!(samples, vec![2.0, 2.0]);
         // sd == 0 consumes no randomness in either path.
         let mut b = StdRng::seed_from_u64(5);
         assert_eq!(a.gen::<u64>(), b.gen::<u64>());

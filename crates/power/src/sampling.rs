@@ -60,26 +60,34 @@ impl SamplingConfig {
     /// capacity. This is the per-execution path of the trace-generation
     /// arena — bit-identical to `expand` (same accumulation order).
     pub fn expand_into(&self, cycle_power: &[f64], out: &mut Vec<f64>) {
-        self.expand_into_clipped(cycle_power, out, (0, usize::MAX));
+        self.expand_into_clipped(cycle_power, 0, cycle_power.len(), out, (0, usize::MAX));
     }
 
-    /// Like [`SamplingConfig::expand_into`], but only materializes the
-    /// samples inside `[keep.0, keep.1)`; everything outside stays
-    /// zero. In-window samples are bit-identical to the unclipped
-    /// expansion (each receives the same per-cycle contributions in the
-    /// same order), so a campaign that crops to a window before its
-    /// sinks can skip expanding the rest of the execution.
+    /// Window-only expansion: clears `out` and fills it with samples
+    /// `[keep.0, keep.1)` of the expansion of a `cycles`-long per-cycle
+    /// series (cut at its [`SamplingConfig::sample_count`] samples), so
+    /// `out[i]` is sample `keep.0 + i`.
+    ///
+    /// Only cycles `offset..offset + rows.len()` are supplied, in `rows`;
+    /// the others count as silent. Every kept sample is bit-identical to
+    /// the full expansion as long as the rows cover
+    /// [`SamplingConfig::cycle_gate`]`(keep)`: each sample receives the
+    /// same per-cycle contributions in the same order. `keep = (0,
+    /// usize::MAX)` with all rows is the full expansion.
     pub fn expand_into_clipped(
         &self,
-        cycle_power: &[f64],
+        rows: &[f64],
+        offset: usize,
+        cycles: usize,
         out: &mut Vec<f64>,
         keep: (usize, usize),
     ) {
-        let n = self.sample_count(cycle_power.len());
+        let n = self.sample_count(cycles);
+        let end = keep.1.min(n);
         out.clear();
-        out.resize(n, 0.0);
+        out.resize(end.saturating_sub(keep.0), 0.0);
         let norm: f64 = self.kernel.iter().sum::<f64>().max(f64::MIN_POSITIVE);
-        for (c, &p) in cycle_power.iter().enumerate() {
+        for (c, &p) in (offset..).zip(rows) {
             if p == 0.0 {
                 continue;
             }
@@ -87,7 +95,7 @@ impl SamplingConfig {
             let first = start.floor() as usize;
             // A cycle's pulse covers samples [first, first + kernel_len];
             // skip cycles that cannot touch the kept window.
-            if first >= keep.1 || first + self.kernel.len() < keep.0 {
+            if first >= end || first + self.kernel.len() < keep.0 {
                 continue;
             }
             // Linear placement: fractional starting position splits the
@@ -96,14 +104,36 @@ impl SamplingConfig {
             for (k, &amp) in self.kernel.iter().enumerate() {
                 let contribution = p * amp / norm;
                 let idx = first + k;
-                if idx < n && idx >= keep.0 && idx < keep.1 {
-                    out[idx] += contribution * (1.0 - frac);
+                if idx >= keep.0 && idx < end {
+                    out[idx - keep.0] += contribution * (1.0 - frac);
                 }
-                if idx + 1 < n && idx + 1 >= keep.0 && idx + 1 < keep.1 {
-                    out[idx + 1] += contribution * frac;
+                if idx + 1 >= keep.0 && idx + 1 < end {
+                    out[idx + 1 - keep.0] += contribution * frac;
                 }
             }
         }
+    }
+
+    /// The cycle range `[start, end)` whose pulses can reach samples
+    /// `[keep.0, keep.1)`, widened by the kernel length (and one cycle
+    /// either side, against float rounding): the cycles a recorder must
+    /// keep for [`SamplingConfig::expand_into_clipped`] to produce the
+    /// kept samples exactly. An open-ended `keep.1 == usize::MAX` gives
+    /// an open-ended range.
+    pub fn cycle_gate(&self, keep: (usize, usize)) -> (usize, usize) {
+        if self.samples_per_cycle.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            return (0, usize::MAX);
+        }
+        // Cycle `c` starts its pulse at sample `floor(c * spc)` and
+        // reaches `kernel.len()` samples past it.
+        let low = keep.0.saturating_sub(self.kernel.len()) as f64 / self.samples_per_cycle;
+        let start = (low.floor() as usize).saturating_sub(1);
+        let end = if keep.1 == usize::MAX {
+            usize::MAX
+        } else {
+            ((keep.1 as f64 / self.samples_per_cycle).ceil() as usize).saturating_add(1)
+        };
+        (start, end.max(start))
     }
 
     /// Maps a cycle offset (within a window) to its nominal sample index.
@@ -205,6 +235,58 @@ mod tests {
         let capacity = out.capacity();
         cfg.expand_into(&cycles, &mut out);
         assert_eq!(out.capacity(), capacity, "no reallocation on reuse");
+    }
+
+    /// Window-only expansion from the gated cycles equals the crop of
+    /// the whole expansion, bit for bit, at integer and fractional
+    /// rates and for windows at, across and past the series edges.
+    #[test]
+    fn window_only_expansion_equals_the_cropped_full_expansion() {
+        let configs = [
+            SamplingConfig::picoscope_500msps_120mhz(),
+            SamplingConfig::per_cycle(),
+            SamplingConfig {
+                samples_per_cycle: 2.5,
+                kernel: vec![1.0, 0.6, 0.3],
+            },
+        ];
+        let series: Vec<f64> = (0..60)
+            .map(|c| {
+                if c % 5 == 3 {
+                    0.0
+                } else {
+                    ((c * 37) % 11) as f64 * 0.37
+                }
+            })
+            .collect();
+        for cfg in &configs {
+            // The whole trace needs every cycle: the default gate.
+            assert_eq!(cfg.cycle_gate((0, usize::MAX)), (0, usize::MAX));
+            let full = cfg.expand(&series);
+            let n = full.len();
+            for keep in [
+                (0, 1),
+                (0, 40),
+                (3, 17),
+                (100, 180),
+                (n - 5, n + 20),
+                (n + 3, n + 9),
+            ] {
+                let gate = cfg.cycle_gate(keep);
+                let lo = gate.0.min(series.len());
+                let rows = &series[lo..gate.1.min(series.len())];
+                let mut out = vec![9.0; 3]; // stale
+                cfg.expand_into_clipped(rows, lo, series.len(), &mut out, keep);
+                let want = &full[keep.0.min(n)..keep.1.min(n)];
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&out),
+                    bits(want),
+                    "spc {} keep {keep:?}",
+                    cfg.samples_per_cycle
+                );
+            }
+        }
     }
 
     /// Regression for the sample-window truncation bug: at a fractional

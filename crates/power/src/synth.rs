@@ -101,6 +101,39 @@ fn child_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The samples of each trace a synthesis call keeps, and how much of
+/// each execution it may skip.
+///
+/// A trace's samples are counted from the start of the first
+/// high-trigger window. A window with `gated` set is synthesized only
+/// where it is kept: the recorder stores just the cycles whose pulses
+/// reach the kept samples ([`SamplingConfig::cycle_gate`]), and only
+/// the kept samples are expanded, noised and averaged (the noise RNG
+/// still advances over every sample, so kept samples are bit-identical
+/// to the whole-trace path). That is legal only when the post hook
+/// ignores the samples — everything outside the window is discarded
+/// unseen. Without `gated`, every execution is processed whole (the
+/// post hook sees all of it) and cut to the window when averaged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SampleWindow {
+    /// First kept sample.
+    pub start: usize,
+    /// End (exclusive) of the kept samples; `usize::MAX` keeps the rest
+    /// of the trace.
+    pub end: usize,
+    /// Whether synthesis may skip everything outside the window.
+    pub gated: bool,
+}
+
+impl SampleWindow {
+    /// The whole trace.
+    pub const ALL: SampleWindow = SampleWindow {
+        start: 0,
+        end: usize::MAX,
+        gated: false,
+    };
+}
+
 /// Reusable per-worker scratch for the allocation-free synthesis path
 /// ([`TraceSynthesizer::synth_into`]): the f64 accumulation buffer the
 /// averaged executions sum into and the per-execution expanded-sample
@@ -108,12 +141,12 @@ fn child_seed(master: u64, index: u64) -> u64 {
 /// for its entire index range.
 #[derive(Clone, Debug, Default)]
 pub struct SynthScratch {
-    /// Execution-averaged power, in f64 (converted to f32 only at the
-    /// end, exactly like the materializing path).
+    /// Execution-summed power of the kept samples, in f64 (converted to
+    /// f32 only at the end, exactly like the materializing path).
     accum: Vec<f64>,
-    /// One execution's expanded (and noised) sample series.
+    /// One execution's expanded (and noised) samples.
     samples: Vec<f64>,
-    /// Gather buffer for one lane's windowed per-cycle series.
+    /// Gather buffer for one lane's gated per-cycle series.
     windowed: Vec<f64>,
 }
 
@@ -276,13 +309,12 @@ impl TraceSynthesizer {
         let input = generate(&mut rng, usize::MAX);
         probe_cpu.restart_seeded(entry, 0);
         stage(&mut probe_cpu, &input);
+        // The probe needs only the window length, not its power.
         let mut recorder = PowerRecorder::new(self.weights.clone());
+        recorder.set_gate(0, 0);
         probe_cpu.run(&mut recorder)?;
         simulator_runs_counter().inc();
-        Ok(self
-            .config
-            .sampling
-            .sample_count(recorder.windowed_power().len()))
+        Ok(self.config.sampling.sample_count(recorder.window_cycles()))
     }
 
     /// Synthesizes the single trace at `index`: draws the input from the
@@ -322,7 +354,7 @@ impl TraceSynthesizer {
             &mut trace,
             entry,
             index,
-            None,
+            SampleWindow::ALL,
             generate,
             stage,
             post,
@@ -344,15 +376,14 @@ impl TraceSynthesizer {
     /// many traces the buffers have already produced — the differential
     /// tests in `tests/campaign_determinism.rs` pin this.
     ///
-    /// `clip`, when `Some((start, end))`, restricts sample synthesis to
-    /// that end-exclusive window: out-of-window samples stay at zero
-    /// (expansion skipped) and receive no noise (the noise RNG is still
-    /// advanced identically, so in-window samples are bit-identical to
-    /// the unclipped trace). Only pass a clip when everything past the
-    /// window is discarded unseen — i.e. the campaign crops to exactly
-    /// this window *and* `post` ignores the samples (the windowed
-    /// engine passes a no-op post on the clipped path; OS-noise jitter,
-    /// which shifts samples into the window, must run unclipped).
+    /// `window` selects the samples `trace` keeps (see [`SampleWindow`]):
+    /// with [`SampleWindow::ALL`] it holds the whole averaged trace;
+    /// otherwise only samples `[window.start, window.end)`, cut short
+    /// where the executions are. A gated window synthesizes nothing
+    /// outside it, so pass one only when `post` ignores the samples
+    /// (the windowed campaign engine passes a no-op post there; OS-noise
+    /// jitter, which shifts samples into the window, needs an ungated
+    /// one).
     ///
     /// # Errors
     ///
@@ -366,7 +397,7 @@ impl TraceSynthesizer {
         trace: &mut Vec<f32>,
         entry: u32,
         index: usize,
-        clip: Option<(usize, usize)>,
+        window: SampleWindow,
         generate: &G,
         stage: &S,
         post: &P,
@@ -385,7 +416,7 @@ impl TraceSynthesizer {
                 entry,
                 index,
                 1,
-                clip,
+                window,
                 (generate, stage, post),
             )?
             .expect("a scalar CPU never diverges");
@@ -427,7 +458,7 @@ impl TraceSynthesizer {
         entry: u32,
         base_index: usize,
         count: usize,
-        clip: Option<(usize, usize)>,
+        window: SampleWindow,
         generate: &G,
         stage: &S,
         post: &P,
@@ -448,7 +479,7 @@ impl TraceSynthesizer {
             entry,
             base_index,
             count,
-            clip,
+            window,
             (generate, stage, post),
         )
         .ok()
@@ -457,8 +488,8 @@ impl TraceSynthesizer {
 
     /// The single-channel per-execution body behind both entry points:
     /// synthesizes traces `base..base + count`, lane `l` carrying trace
-    /// `base + l`. Returns the lanes' inputs, or `None` on lockstep
-    /// divergence.
+    /// `base + l`, keeping the samples of `window`. Returns the lanes'
+    /// inputs, or `None` on lockstep divergence.
     #[allow(clippy::too_many_arguments)]
     fn synth_lanes<L, G, S, P>(
         &self,
@@ -469,7 +500,7 @@ impl TraceSynthesizer {
         entry: u32,
         base: usize,
         count: usize,
-        clip: Option<(usize, usize)>,
+        window: SampleWindow,
         (generate, stage, post): (&G, &S, &P),
     ) -> Result<Option<Vec<Vec<u8>>>, UarchError>
     where
@@ -488,11 +519,22 @@ impl TraceSynthesizer {
             .map(|(l, rng)| generate(rng, base + l))
             .collect();
         let executions = self.config.executions_per_trace.max(1);
+        let sampling = &self.config.sampling;
         let mut noise = self.config.noise;
+        let keep = (window.start, window.end.max(window.start));
+        // A gated window records, expands and noises the kept samples
+        // only; an ungated one processes each execution whole (samples
+        // `from` 0) and keeps the window when averaging.
+        let from = if window.gated { keep } else { (0, usize::MAX) };
+        let gate = sampling.cycle_gate(from);
+        recorder.set_gate(gate.0, gate.1);
+        // Per lane: whether an execution has started the average. The
+        // first execution with a nonempty trace sets the averaged length;
+        // later ones add over the common prefix.
+        let mut started = [false; sca_uarch::MAX_LANES];
         for scratch in &mut scratches[..count] {
             scratch.accum.clear();
         }
-        let keep = clip.unwrap_or((0, usize::MAX));
         let mut seeds = [0u64; sca_uarch::MAX_LANES];
         for execution in 0..executions {
             for (l, seed) in seeds[..count].iter_mut().enumerate() {
@@ -510,22 +552,29 @@ impl TraceSynthesizer {
                 return Ok(None);
             }
             simulator_runs_counter().add(count as u64);
+            let cycles = recorder.window_cycles();
+            let total = sampling.sample_count(cycles);
             for (l, (scratch, rng)) in scratches.iter_mut().zip(&mut rngs).enumerate() {
                 let SynthScratch {
                     accum,
                     samples,
                     windowed,
                 } = scratch;
-                let series = recorder.lane_window(l, windowed);
-                self.config
-                    .sampling
-                    .expand_into_clipped(series, samples, keep);
-                noise.add_to_clipped(rng, samples, keep);
+                let rows = recorder.lane_window(l, windowed);
+                sampling.expand_into_clipped(rows, gate.0, cycles, samples, from);
+                noise.add_to_clipped(rng, samples, from.0, total);
                 post(rng, samples);
-                if accum.is_empty() {
-                    accum.extend_from_slice(samples);
+                // `samples` holds trace samples `from.0..`; keep the
+                // window's part of them.
+                let len = if window.gated { total } else { samples.len() };
+                let kept = &samples
+                    [(keep.0 - from.0).min(samples.len())..(keep.1 - from.0).min(samples.len())];
+                if started[l] {
+                    crate::vecops::add_assign(accum, kept);
                 } else {
-                    crate::vecops::add_assign(accum, samples);
+                    accum.clear();
+                    accum.extend_from_slice(kept);
+                    started[l] = len > 0;
                 }
             }
         }
@@ -666,6 +715,96 @@ mod tests {
         // Exact simulator-run-counter assertions live in the dedicated
         // single-test binary `tests/sim_counter.rs` (the counter is
         // process-global, so parallel unit tests would race it).
+    }
+
+    /// A gated window (recorder gate, window-only expansion and noise)
+    /// equals the crop of the whole-trace path, and so does the
+    /// ungated crop, bit for bit — scalar and lockstep alike.
+    #[test]
+    fn gated_windows_equal_the_cropped_whole_trace() {
+        let (cpu, entry) = fixture();
+        let config = AcquisitionConfig {
+            traces: 1,
+            executions_per_trace: 3,
+            sampling: SamplingConfig::picoscope_500msps_120mhz(),
+            noise: GaussianNoise {
+                sd: 2.0,
+                baseline: 1.0,
+            },
+            seed: 31,
+            threads: 1,
+        };
+        let synth = TraceSynthesizer::new(LeakageWeights::cortex_a7(), config);
+        let gen = |rng: &mut StdRng, _| {
+            use rand::Rng;
+            rng.gen::<u32>().to_le_bytes().to_vec()
+        };
+        let post = |_: &mut StdRng, _: &mut Vec<f64>| {};
+        let mut recorder = PowerRecorder::new(synth.weights().clone());
+        let mut block_recorder = PowerRecorder::with_lanes(synth.weights().clone(), 2);
+        let mut scratch = SynthScratch::new();
+        let mut scratches = vec![SynthScratch::new(); 2];
+        let mut synth_one = |window: SampleWindow, index: usize| {
+            let mut worker = cpu.clone();
+            let mut trace = Vec::new();
+            synth
+                .synth_into(
+                    &mut worker,
+                    &mut recorder,
+                    &mut scratch,
+                    &mut trace,
+                    entry,
+                    index,
+                    window,
+                    &gen,
+                    &stage,
+                    &post,
+                )
+                .unwrap();
+            trace
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for index in 0..2 {
+            let whole = synth_one(SampleWindow::ALL, index);
+            let n = whole.len();
+            assert!(n > 20, "fixture window has {n} samples");
+            for (start, end) in [(0, n), (1, 9), (7, 23), (n - 4, n + 6), (n + 1, n + 3)] {
+                let want = &whole[start.min(n)..end.min(n)];
+                for gated in [true, false] {
+                    let window = SampleWindow { start, end, gated };
+                    let got = synth_one(window, index);
+                    assert_eq!(bits(&got), bits(want), "trace {index} {window:?}");
+                }
+            }
+        }
+        // The lockstep block keeps the same windows.
+        let mut block = CpuBlock::from_template(&cpu, 2);
+        let mut traces = vec![Vec::new(); 2];
+        for (start, end) in [(1, 9), (7, 23)] {
+            synth
+                .synth_block_into(
+                    &mut block,
+                    &mut block_recorder,
+                    &mut scratches,
+                    &mut traces,
+                    entry,
+                    0,
+                    2,
+                    SampleWindow {
+                        start,
+                        end,
+                        gated: true,
+                    },
+                    &gen,
+                    &stage,
+                    &post,
+                )
+                .expect("the fixture never diverges");
+            for (index, trace) in traces.iter().enumerate() {
+                let whole = synth_one(SampleWindow::ALL, index);
+                assert_eq!(bits(trace), bits(&whole[start..end]), "lane {index}");
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@ use superscalar_sca::analysis::{
 use superscalar_sca::campaign::{Campaign, CampaignConfig, CpaSink};
 use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::{
-    AcquisitionConfig, GaussianNoise, LeakageWeights, PowerRecorder, SamplingConfig, SynthScratch,
-    TraceSynthesizer,
+    AcquisitionConfig, GaussianNoise, LeakageWeights, PowerRecorder, SampleWindow, SamplingConfig,
+    SynthScratch, TraceSynthesizer,
 };
 use superscalar_sca::prelude::TraceSet;
 use superscalar_sca::uarch::{Cpu, UarchConfig};
@@ -200,7 +200,7 @@ fn arena_reuse_is_byte_identical_to_fresh_simulators() {
                 &mut trace,
                 entry,
                 index,
-                None,
+                SampleWindow::ALL,
                 &generate,
                 &stage,
                 &post,

@@ -24,7 +24,7 @@ use superscalar_sca::core::{run_benchmark_at_lanes, table2_benchmarks, Character
 use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::{
     AcquisitionConfig, ComponentSynthesizer, GaussianNoise, LeakageWeights, PowerRecorder,
-    SamplingConfig, SynthScratch, TraceSynthesizer,
+    SampleWindow, SamplingConfig, SynthScratch, TraceSynthesizer,
 };
 use superscalar_sca::uarch::{Cpu, CpuBlock, NodeKind, UarchConfig};
 
@@ -77,7 +77,7 @@ fn block_synthesis_matches_scalar_per_target_and_lane_count() {
                         &mut trace,
                         entry,
                         index,
-                        None,
+                        SampleWindow::ALL,
                         &generate,
                         &stage,
                         &post,
@@ -100,7 +100,7 @@ fn block_synthesis_matches_scalar_per_target_and_lane_count() {
                     entry,
                     base,
                     lanes,
-                    None,
+                    SampleWindow::ALL,
                     &generate,
                     &stage,
                     &post,
