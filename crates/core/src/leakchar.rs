@@ -119,6 +119,20 @@ pub struct LeakBenchmark {
     pub models: Vec<ModelSpec>,
 }
 
+impl LeakBenchmark {
+    /// The framed kernel program, for the pipeline pin tests.
+    #[doc(hidden)]
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// Stages one input, for the pipeline pin tests.
+    #[doc(hidden)]
+    pub fn stage(&self, cpu: &mut Cpu, input: &[u8]) {
+        (self.stage)(cpu, input);
+    }
+}
+
 impl fmt::Debug for LeakBenchmark {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "LeakBenchmark(row {}: {})", self.row, self.sequence)
