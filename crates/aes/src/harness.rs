@@ -1,7 +1,7 @@
 //! Running the assembly AES-128 on the simulated CPU.
 
 use sca_isa::Program;
-use sca_uarch::{Cpu, NullObserver, PipelineObserver, UarchConfig, UarchError};
+use sca_uarch::{Cpu, Lane, NullObserver, PipelineObserver, UarchConfig, UarchError};
 
 use crate::{expand_key, ROUND_KEY_BYTES, SBOX};
 
@@ -139,7 +139,7 @@ impl AesSim {
     ///
     /// Panics if `plaintext` is shorter than 16 bytes (acquisition inputs
     /// are always full blocks).
-    pub fn stage_plaintext(cpu: &mut Cpu, plaintext: &[u8]) {
+    pub fn stage_plaintext(cpu: &mut Lane, plaintext: &[u8]) {
         cpu.mem_mut()
             .write_bytes(STATE_ADDR, &plaintext[..16])
             .expect("state buffer is mapped");

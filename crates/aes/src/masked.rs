@@ -14,7 +14,7 @@
 //! not the victim's mask RNG.
 
 use sca_isa::Program;
-use sca_uarch::{Cpu, NullObserver, PipelineObserver, UarchConfig, UarchError};
+use sca_uarch::{Cpu, Lane, NullObserver, PipelineObserver, UarchConfig, UarchError};
 
 use crate::{expand_key, RK_ADDR, SBOX, SBOX_ADDR, STATE_ADDR};
 
@@ -167,7 +167,7 @@ impl MaskedAesSim {
     ///
     /// Panics if `input` is shorter than [`MASKED_INPUT_LEN`]
     /// (acquisition inputs always carry the full block plus masks).
-    pub fn stage_input(cpu: &mut Cpu, input: &[u8]) {
+    pub fn stage_input(cpu: &mut Lane, input: &[u8]) {
         cpu.mem_mut()
             .write_bytes(STATE_ADDR, &input[..16])
             .expect("state buffer is mapped");

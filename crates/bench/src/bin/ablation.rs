@@ -131,7 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 f64::from((input_word(i, 0) ^ input_word(i, 1)).count_ones())
             })]
         };
-        let stage = |cpu: &mut sca_uarch::Cpu, input: &[u8]| {
+        let stage = |cpu: &mut sca_uarch::Lane, input: &[u8]| {
             cpu.set_reg(Reg::R0, input_word(input, 0));
             cpu.set_reg(Reg::R1, input_word(input, 1));
             cpu.set_reg(Reg::R4, 0x5a5a_5a5a);

@@ -6,7 +6,9 @@
 //! corresponding event lines back. A `submit` streams that job's whole
 //! event lifecycle (accepted, per-slice progress, final verdict, done)
 //! before the next line on the same connection is read; the `submit`
-//! binary is the matching client.
+//! binary is the matching client. A line longer than
+//! [`sca_server::MAX_REQUEST_LINE`] bytes gets a `rejected` reply and
+//! the connection is closed.
 //!
 //! `shutdown` drains every live job to its verdict, prints the final
 //! stats line to stderr, removes the socket and exits 0 — CI treats any
@@ -124,17 +126,29 @@ fn main() {
     use std::sync::Arc;
 
     use sca_server::{
-        format_event, format_stats, parse_request, CampaignServer, Event, Request, ServerConfig,
+        format_event, format_stats, parse_request, read_request_line, CampaignServer, Event,
+        Request, RequestLine, ServerConfig, MAX_REQUEST_LINE,
     };
 
     fn handle_connection(stream: UnixStream, server: &CampaignServer, stop: &AtomicBool) {
-        use std::io::BufRead;
         let Ok(reader) = stream.try_clone() else {
             return;
         };
+        let mut reader = std::io::BufReader::new(reader);
+        let mut buf = Vec::new();
         let mut writer = stream;
-        for line in std::io::BufReader::new(reader).lines() {
-            let Ok(line) = line else { break };
+        loop {
+            let line = match read_request_line(&mut reader, &mut buf) {
+                Ok(RequestLine::Line(line)) => line,
+                Ok(RequestLine::TooLong) => {
+                    let _ = writeln!(
+                        writer,
+                        "rejected request line exceeds {MAX_REQUEST_LINE} bytes"
+                    );
+                    break;
+                }
+                Ok(RequestLine::End) | Err(_) => break,
+            };
             if line.trim().is_empty() {
                 continue;
             }

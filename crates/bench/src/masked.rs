@@ -30,7 +30,7 @@ use sca_core::{audit_program, AuditConfig, SecretModel};
 use sca_isa::{Program, Reg};
 use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig};
 use sca_sched::{harden_program, HardenConfig, HardenReport, SharePolicy};
-use sca_uarch::{Cpu, Node, UarchConfig};
+use sca_uarch::{Cpu, Lane, Node, UarchConfig};
 
 use crate::probe::RetireLog;
 
@@ -216,7 +216,7 @@ struct Target {
     cpu: Cpu,
     entry: u32,
     input_len: usize,
-    stage: fn(&mut Cpu, &[u8]),
+    stage: fn(&mut Lane, &[u8]),
     program: Program,
 }
 
@@ -278,11 +278,11 @@ fn subbytes_window(target: &Target) -> Result<SubBytesWindow, Box<dyn std::error
     })
 }
 
-fn stage_unprotected(cpu: &mut Cpu, input: &[u8]) {
+fn stage_unprotected(cpu: &mut Lane, input: &[u8]) {
     AesSim::stage_plaintext(cpu, input);
 }
 
-fn stage_masked(cpu: &mut Cpu, input: &[u8]) {
+fn stage_masked(cpu: &mut Lane, input: &[u8]) {
     MaskedAesSim::stage_input(cpu, input);
 }
 
@@ -514,7 +514,7 @@ fn audit_target(
     // up the whole memory contract: S-box and round keys, then the
     // per-execution input (state + masks).
     let rk = expand_key(&config.key);
-    let stage = move |cpu: &mut Cpu, input: &[u8]| {
+    let stage = move |cpu: &mut Lane, input: &[u8]| {
         cpu.mem_mut()
             .write_bytes(SBOX_ADDR, &SBOX)
             .expect("S-box is mapped");

@@ -23,7 +23,7 @@
 use rand::rngs::StdRng;
 
 use sca_power::{PowerRecorder, SampleWindow, SynthScratch, TraceSynthesizer};
-use sca_uarch::{CacheCounts, Cpu, CpuBlock, UarchError};
+use sca_uarch::{CacheCounts, Cpu, CpuBlock, Lane, UarchError};
 
 use crate::lanes::LaneGroup;
 
@@ -160,7 +160,7 @@ impl SimArena {
     ) -> Result<(), UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
         let window = SampleWindow {

@@ -7,8 +7,8 @@ use std::ops::Range;
 
 use rand::rngs::StdRng;
 
-use sca_power::{ComponentPowerRecorder, ComponentScratch, ComponentSynthesizer, LaneSim};
-use sca_uarch::{Cpu, CpuBlock, UarchError};
+use sca_power::{ComponentPowerRecorder, ComponentScratch, ComponentSynthesizer};
+use sca_uarch::{Cpu, CpuBlock, Lane, UarchError};
 
 use crate::lanes::LaneGroup;
 
@@ -74,7 +74,7 @@ impl ComponentArena {
     ) -> Result<(), UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         A: FnMut(&[u8], &[Vec<f32>]),
     {
         let mut base = range.start;
@@ -85,8 +85,8 @@ impl ComponentArena {
                 &mut absorb,
                 count,
                 |block, absorb| {
-                    let Ok(Some(inputs)) = synth.synth_group(
-                        LaneSim::Block(&mut block.block),
+                    let Ok(inputs) = synth.synth_group(
+                        &mut block.block,
                         &mut block.recorder,
                         &mut block.scratches[..count],
                         entry,
@@ -102,17 +102,15 @@ impl ComponentArena {
                     true
                 },
                 |sim, absorb, offset| {
-                    let inputs = synth
-                        .synth_group(
-                            LaneSim::Scalar(&mut sim.cpu),
-                            &mut sim.recorder,
-                            std::slice::from_mut(&mut sim.scratch),
-                            entry,
-                            base + offset,
-                            generate,
-                            stage,
-                        )?
-                        .expect("a scalar CPU never diverges");
+                    let inputs = synth.synth_group(
+                        &mut sim.cpu,
+                        &mut sim.recorder,
+                        std::slice::from_mut(&mut sim.scratch),
+                        entry,
+                        base + offset,
+                        generate,
+                        stage,
+                    )?;
                     absorb(&inputs[0], sim.scratch.channels());
                     Ok(())
                 },

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use sca_power::{
     AcquisitionConfig, GaussianNoise, LeakageWeights, SamplingConfig, TraceSynthesizer,
 };
-use sca_uarch::{Cpu, UarchError};
+use sca_uarch::{Cpu, Lane, UarchError};
 
 use crate::{run_sharded, CampaignSink, ShardPlan, SimArena, DEFAULT_BATCH};
 
@@ -149,7 +149,7 @@ impl Campaign {
     ) -> Result<K, UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         K: CampaignSink,
     {
         // No post hook ⇒ everything outside the analysis window is
@@ -177,7 +177,7 @@ impl Campaign {
     ) -> Result<K, UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
         K: CampaignSink,
     {
@@ -198,7 +198,7 @@ impl Campaign {
     ) -> Result<(usize, usize), UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
     {
         let full = {
             let _span = sca_telemetry::span!("probe");
@@ -222,7 +222,7 @@ impl Campaign {
     ) -> Result<K, UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
         K: CampaignSink,
     {

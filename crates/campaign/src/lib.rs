@@ -46,7 +46,7 @@
 //! use sca_campaign::{Campaign, CampaignConfig, CpaSink};
 //! use sca_isa::{assemble, Reg};
 //! use sca_power::{GaussianNoise, LeakageWeights, SamplingConfig, TraceSynthesizer};
-//! use sca_uarch::{Cpu, UarchConfig};
+//! use sca_uarch::{Cpu, Lane, UarchConfig};
 //!
 //! let program = assemble(
 //!     "
@@ -67,7 +67,7 @@
 //!     use rand::Rng;
 //!     rng.gen::<u32>().to_le_bytes().to_vec()
 //! };
-//! let stage = |cpu: &mut Cpu, input: &[u8]| {
+//! let stage = |cpu: &mut Lane, input: &[u8]| {
 //!     let word = u32::from_le_bytes([input[0], input[1], input[2], input[3]]);
 //!     cpu.mem_mut().write_u32(0x800, word).unwrap();
 //! };

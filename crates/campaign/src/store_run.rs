@@ -37,7 +37,7 @@ use rand::rngs::StdRng;
 
 use sca_analysis::{StateError, StateReader};
 use sca_store::{analysis_tag, CorpusKey, StoreError, StoreMeta, TraceStore, META_FILE};
-use sca_uarch::{Cpu, UarchError};
+use sca_uarch::{Cpu, Lane, UarchError};
 
 use crate::{run_sharded, Campaign, CampaignSink, Checkpointable, ShardPlan, SimArena};
 
@@ -229,7 +229,7 @@ impl Campaign {
     ) -> Result<(K, StoredRunReport), CampaignError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         K: CampaignSink + Checkpointable,
     {
         self.run_stored_bounded(cpu, entry, generate, stage, sink, opts, u64::MAX)
@@ -270,7 +270,7 @@ impl Campaign {
     ) -> Result<(K, StoredRunReport), CampaignError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         K: CampaignSink + Checkpointable,
     {
         let total = self.synth.config().traces as u64;
@@ -419,7 +419,7 @@ impl Campaign {
     ) -> Result<K, CampaignError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         K: CampaignSink + Checkpointable,
     {
         let plan = ShardPlan {

@@ -27,8 +27,8 @@ use sca_analysis::{pearson, significance_threshold};
 use sca_campaign::LaneGroup;
 use sca_isa::{Insn, Program};
 use sca_uarch::{
-    BlockObserver, Cpu, CpuBlock, Node, NodeEvent, PipelineObserver, RecordingObserver,
-    UarchConfig, UarchError, MAX_LANES,
+    Cpu, CpuBlock, Lane, Node, NodeEvent, PipelineObserver, RecordingObserver, UarchConfig,
+    UarchError, MAX_LANES,
 };
 
 /// Boxed secret-expression function.
@@ -175,7 +175,7 @@ pub fn audit_program(
     uarch: &UarchConfig,
     program: &Program,
     input_len: usize,
-    stage: impl Fn(&mut Cpu, &[u8]),
+    stage: impl Fn(&mut Lane, &[u8]),
     models: &[SecretModel],
     config: &AuditConfig,
 ) -> Result<AuditReport, UarchError> {
@@ -194,7 +194,7 @@ pub fn audit_program_at_lanes(
     uarch: &UarchConfig,
     program: &Program,
     input_len: usize,
-    stage: impl Fn(&mut Cpu, &[u8]),
+    stage: impl Fn(&mut Lane, &[u8]),
     models: &[SecretModel],
     config: &AuditConfig,
     lanes: usize,
@@ -231,7 +231,7 @@ pub fn audit_program_at_lanes(
             count,
             |block, activity| {
                 let seeds: Vec<u64> = (first..first + count).map(seed).collect();
-                block.restart_seeded(program.entry(), &seeds);
+                block.restart_lanes(program.entry(), &seeds);
                 for (lane, input) in inputs[first..first + count].iter().enumerate() {
                     stage(block.lane_mut(lane), input);
                 }
@@ -421,16 +421,6 @@ impl Activity {
 }
 
 impl PipelineObserver for Activity {
-    fn node_event(&mut self, event: NodeEvent) {
-        BlockObserver::node_event(self, 0, event);
-    }
-
-    fn retire(&mut self, cycle: u64, addr: u32, insn: Insn) {
-        BlockObserver::retire(self, cycle, addr, insn);
-    }
-}
-
-impl BlockObserver for Activity {
     fn node_event(&mut self, lane: usize, event: NodeEvent) {
         if let Some(row) = self.row(event.node, event.cycle) {
             self.rows[row * self.executions + self.first + lane] =
@@ -469,7 +459,7 @@ pub fn audit_program_reference(
     uarch: &UarchConfig,
     program: &Program,
     input_len: usize,
-    stage: impl Fn(&mut Cpu, &[u8]),
+    stage: impl Fn(&mut Lane, &[u8]),
     models: &[SecretModel],
     config: &AuditConfig,
 ) -> Result<AuditReport, UarchError> {
@@ -668,7 +658,7 @@ mod tests {
                 f64::from(input_word(i, 0).count_ones())
             })]
         };
-        let stage = |cpu: &mut Cpu, input: &[u8]| cpu.set_reg(Reg::R0, input_word(input, 0));
+        let stage = |cpu: &mut Lane, input: &[u8]| cpu.set_reg(Reg::R0, input_word(input, 0));
         let config = AuditConfig {
             executions: 200,
             ..AuditConfig::default()

@@ -30,7 +30,7 @@ use sca_analysis::{significance_threshold, PearsonAccumulator};
 use sca_campaign::{run_sharded, ComponentArena, ShardPlan};
 use sca_isa::{AddrMode, Insn, Program, ProgramBuilder, Reg, ShiftKind};
 use sca_power::{ComponentPowerRecorder, ComponentSynthesizer, GaussianNoise, LeakageWeights};
-use sca_uarch::{Cpu, NodeKind, NullObserver, UarchConfig, UarchError};
+use sca_uarch::{Cpu, Lane, NodeKind, NullObserver, UarchConfig, UarchError};
 
 /// Paper-derived expectation for one model cell of Table 2.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,7 +62,7 @@ impl fmt::Display for Expectation {
 }
 
 type ModelFn = Arc<dyn Fn(&[u8]) -> f64 + Send + Sync>;
-type StageFn = Arc<dyn Fn(&mut Cpu, &[u8]) + Send + Sync>;
+type StageFn = Arc<dyn Fn(&mut Lane, &[u8]) + Send + Sync>;
 
 /// One leakage-model expression attached to a component column.
 #[derive(Clone)]
@@ -128,7 +128,7 @@ impl LeakBenchmark {
 
     /// Stages one input, for the pipeline pin tests.
     #[doc(hidden)]
-    pub fn stage(&self, cpu: &mut Cpu, input: &[u8]) {
+    pub fn stage(&self, cpu: &mut Lane, input: &[u8]) {
         (self.stage)(cpu, input);
     }
 }
@@ -727,7 +727,7 @@ pub fn run_benchmark_at_lanes(
         rng.fill(&mut input[..]);
         input
     };
-    let stage = |cpu: &mut Cpu, input: &[u8]| (benchmark.stage)(cpu, input);
+    let stage = |cpu: &mut Lane, input: &[u8]| (benchmark.stage)(cpu, input);
     let sink = run_sharded(
         &plan,
         || ComponentArena::new(&synth, &template, lanes),

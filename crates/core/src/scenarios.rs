@@ -14,7 +14,7 @@
 
 use sca_isa::{assemble, Program, Reg};
 use sca_sched::{harden_program, pin_lanes, HardenConfig, SharePolicy};
-use sca_uarch::{Cpu, Node, UarchConfig, UarchError};
+use sca_uarch::{Lane, Node, UarchConfig, UarchError};
 
 use crate::{audit_program, AuditConfig, AuditReport, SecretModel};
 
@@ -43,7 +43,7 @@ pub fn share_models() -> [SecretModel; 1] {
 }
 
 /// Stages the two shares and the public constants the schedules use.
-pub fn stage_shares(cpu: &mut Cpu, input: &[u8]) {
+pub fn stage_shares(cpu: &mut Lane, input: &[u8]) {
     use sca_analysis::input_word;
     cpu.set_reg(Reg::R0, input_word(input, 0)); // share 0 = s ^ m
     cpu.set_reg(Reg::R1, input_word(input, 1)); // share 1 = m

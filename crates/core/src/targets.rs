@@ -11,7 +11,7 @@
 
 use sca_isa::Program;
 use sca_target::{resolve_window, CipherTarget, TargetError};
-use sca_uarch::{Cpu, Node, UarchConfig, UarchError};
+use sca_uarch::{Lane, Node, UarchConfig, UarchError};
 
 use crate::{audit_program, AuditConfig, AuditReport, SecretModel};
 
@@ -61,7 +61,7 @@ where
         &UarchConfig,
         &Program,
         usize,
-        &dyn Fn(&mut Cpu, &[u8]),
+        &dyn Fn(&mut Lane, &[u8]),
         &[SecretModel],
         &AuditConfig,
     ) -> Result<AuditReport, UarchError>,
@@ -88,7 +88,7 @@ where
         uarch,
         target.program(),
         target.input_len(),
-        &|cpu: &mut Cpu, input: &[u8]| {
+        &|cpu: &mut Lane, input: &[u8]| {
             target
                 .stage_constants(cpu)
                 .expect("target memory contract is mapped");

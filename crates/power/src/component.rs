@@ -6,19 +6,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sca_uarch::{Cpu, CpuBlock, NodeKind, UarchError};
+use sca_uarch::{Core, Lane, LaneCount, NodeKind};
 
-use crate::lanes::Lanes;
 use crate::{ComponentPowerRecorder, GaussianNoise, LeakageWeights, NoiseSource};
-
-/// The simulator a group of traces runs on.
-#[derive(Debug)]
-pub enum LaneSim<'a> {
-    /// A scalar CPU, running one trace.
-    Scalar(&'a mut Cpu),
-    /// A lockstep block, running one trace per lane.
-    Block(&'a mut CpuBlock),
-}
 
 /// Reusable per-lane buffers of the per-component synthesis path.
 #[derive(Clone, Debug, Default)]
@@ -81,65 +71,38 @@ impl ComponentSynthesizer {
         &self.weights
     }
 
-    /// Synthesizes traces `base..base + scratches.len()` on `sim`, trace
-    /// `base + l` into `scratches[l]`, and returns their inputs — or
-    /// `None` on lockstep divergence, in which case the caller re-runs
-    /// the group on a scalar CPU. The result is bit-identical either way.
+    /// Synthesizes traces `base..base + scratches.len()` on `core`,
+    /// trace `base + l` on lane `l` into `scratches[l]`, and returns
+    /// their inputs. A lockstep block that diverges returns its
+    /// [`sca_uarch::Divergence`], and the caller re-runs the group one
+    /// lane at a time; the result is bit-identical either way.
     ///
     /// # Errors
     ///
-    /// Propagates simulator faults of a scalar run.
+    /// The error the core stopped with: a simulator fault of a one-lane
+    /// run, or a block's divergence.
     ///
     /// # Panics
     ///
-    /// Panics if a scalar CPU gets other than one scratch, or a block
-    /// more scratches than lanes.
+    /// Panics if there are no scratches or more scratches than lanes.
     #[allow(clippy::too_many_arguments)]
-    pub fn synth_group<G, S>(
+    pub fn synth_group<const N: usize, G, S>(
         &self,
-        sim: LaneSim<'_>,
+        core: &mut Core<N>,
         recorder: &mut ComponentPowerRecorder,
         scratches: &mut [ComponentScratch],
         entry: u32,
         base: usize,
         generate: &G,
         stage: &S,
-    ) -> Result<Option<Vec<Vec<u8>>>, UarchError>
+    ) -> Result<Vec<Vec<u8>>, <Core<N> as LaneCount>::Error>
     where
+        Core<N>: LaneCount,
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
     {
         let count = scratches.len();
-        match sim {
-            LaneSim::Scalar(cpu) => {
-                assert_eq!(count, 1, "a scalar CPU runs one trace");
-                self.synth_lanes(cpu, recorder, scratches, entry, base, generate, stage)
-            }
-            LaneSim::Block(block) => {
-                assert!(count >= 1 && count <= block.max_lanes(), "bad lane count");
-                self.synth_lanes(block, recorder, scratches, entry, base, generate, stage)
-            }
-        }
-    }
-
-    /// The per-component per-execution body, over either simulator.
-    #[allow(clippy::too_many_arguments)]
-    fn synth_lanes<L, G, S>(
-        &self,
-        lanes: &mut L,
-        recorder: &mut ComponentPowerRecorder,
-        scratches: &mut [ComponentScratch],
-        entry: u32,
-        base: usize,
-        generate: &G,
-        stage: &S,
-    ) -> Result<Option<Vec<Vec<u8>>>, UarchError>
-    where
-        L: Lanes<ComponentPowerRecorder>,
-        G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
-    {
-        let count = scratches.len();
+        assert!(count >= 1 && count <= core.max_lanes(), "bad lane count");
         let (start, len) = self.window;
         let mut rngs: Vec<StdRng> = (0..count)
             .map(|l| {
@@ -167,14 +130,12 @@ impl ComponentSynthesizer {
             for (l, seed) in seeds[..count].iter_mut().enumerate() {
                 *seed = self.seed ^ (((base + l) as u64) << 8 | execution as u64);
             }
-            lanes.restart(entry, &seeds[..count]);
+            core.restart_lanes(entry, &seeds[..count]);
             for (l, input) in inputs.iter().enumerate() {
-                stage(lanes.lane_mut(l), input);
+                stage(core.lane_mut(l), input);
             }
             recorder.reset();
-            if !lanes.execute(recorder)? {
-                return Ok(None);
-            }
+            core.run(recorder)?;
             for (l, (scratch, rng)) in scratches.iter_mut().zip(&mut rngs).enumerate() {
                 for (&kind, accum) in self.channels.iter().zip(&mut scratch.accum) {
                     recorder.windowed_power_into(l, kind, &mut scratch.samples);
@@ -193,6 +154,6 @@ impl ComponentSynthesizer {
                 crate::vecops::scaled_narrow_extend(channel, accum, inv);
             }
         }
-        Ok(Some(inputs))
+        Ok(inputs)
     }
 }

@@ -24,7 +24,6 @@
 
 mod component;
 mod io;
-mod lanes;
 mod model;
 mod noise;
 mod recorder;
@@ -34,7 +33,7 @@ mod trace;
 #[doc(hidden)]
 pub mod vecops;
 
-pub use component::{ComponentScratch, ComponentSynthesizer, LaneSim};
+pub use component::{ComponentScratch, ComponentSynthesizer};
 pub use io::{read_traces, write_traces};
 pub use model::LeakageWeights;
 pub use noise::{GaussianNoise, NoiseSource};

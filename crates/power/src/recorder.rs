@@ -1,6 +1,6 @@
 //! Turning pipeline activity into per-cycle power.
 
-use sca_uarch::{BlockObserver, NodeEvent, NodeKind, PipelineObserver};
+use sca_uarch::{NodeEvent, NodeKind, PipelineObserver};
 
 use crate::LeakageWeights;
 
@@ -29,10 +29,9 @@ fn trigger_window(triggers: &[(u64, bool)], cycles: usize) -> (usize, usize) {
 /// per-cycle power series per lane, inside a trigger-relative cycle
 /// gate.
 ///
-/// As a [`PipelineObserver`] it records a scalar `Cpu` run into lane 0;
-/// as a [`BlockObserver`] it records every lane of a lockstep
-/// [`sca_uarch::CpuBlock`] run. Each lane's events arrive in the order a
-/// scalar run of that lane emits them and accumulate into the same `f64`
+/// It records every lane of a run: lane 0 of a one-lane `Cpu`, or each
+/// lane of a lockstep [`sca_uarch::CpuBlock`]. Each lane's events arrive
+/// in the order a one-lane run of that lane emits them and accumulate into the same `f64`
 /// per-cycle sums, so every lane is bit-identical to a one-lane
 /// recording of it.
 ///
@@ -275,20 +274,6 @@ impl PipelineObserver for PowerRecorder {
         self.row(cycle as usize);
     }
 
-    fn node_event(&mut self, event: NodeEvent) {
-        BlockObserver::node_event(self, 0, event);
-    }
-
-    fn trigger(&mut self, cycle: u64, high: bool) {
-        self.edge(cycle, high);
-    }
-}
-
-impl BlockObserver for PowerRecorder {
-    fn begin_cycle(&mut self, cycle: u64) {
-        self.row(cycle as usize);
-    }
-
     fn node_event(&mut self, lane: usize, event: NodeEvent) {
         let cycle = event.cycle as usize;
         let power = self.weights.power_of_kind(event.node.kind(), &event);
@@ -427,20 +412,6 @@ impl PipelineObserver for ComponentPowerRecorder {
         self.grow(cycle as usize + 1);
     }
 
-    fn node_event(&mut self, event: NodeEvent) {
-        BlockObserver::node_event(self, 0, event);
-    }
-
-    fn trigger(&mut self, cycle: u64, high: bool) {
-        self.triggers.push((cycle, high));
-    }
-}
-
-impl BlockObserver for ComponentPowerRecorder {
-    fn begin_cycle(&mut self, cycle: u64) {
-        self.grow(cycle as usize + 1);
-    }
-
     fn node_event(&mut self, lane: usize, event: NodeEvent) {
         let idx = event.cycle as usize;
         self.grow(idx + 1);
@@ -490,11 +461,11 @@ mod tests {
     #[test]
     fn accumulates_power_per_cycle() {
         let mut rec = PowerRecorder::new(LeakageWeights::zero().with_hd(NodeKind::Mdr, 1.0));
-        PipelineObserver::begin_cycle(&mut rec, 0);
-        PipelineObserver::node_event(&mut rec, ev(0, 0, 0b111));
-        PipelineObserver::node_event(&mut rec, ev(0, 0, 0b1));
-        PipelineObserver::begin_cycle(&mut rec, 1);
-        PipelineObserver::node_event(&mut rec, ev(1, 0, 0b11));
+        rec.begin_cycle(0);
+        rec.node_event(0, ev(0, 0, 0b111));
+        rec.node_event(0, ev(0, 0, 0b1));
+        rec.begin_cycle(1);
+        rec.node_event(0, ev(1, 0, 0b11));
         assert_eq!(rec.windowed_power(), &[4.0, 2.0]);
     }
 
@@ -502,11 +473,11 @@ mod tests {
     fn window_extraction() {
         let mut rec = PowerRecorder::new(LeakageWeights::zero().with_hd(NodeKind::Mdr, 1.0));
         for c in 0..10 {
-            PipelineObserver::begin_cycle(&mut rec, c);
-            PipelineObserver::node_event(&mut rec, ev(c, 0, 1));
+            rec.begin_cycle(c);
+            rec.node_event(0, ev(c, 0, 1));
         }
-        PipelineObserver::trigger(&mut rec, 3, true);
-        PipelineObserver::trigger(&mut rec, 7, false);
+        rec.trigger(3, true);
+        rec.trigger(7, false);
         assert_eq!(rec.windowed_power().len(), 4); // cycles 3..7
         assert_eq!(rec.window_cycles(), 4);
     }
@@ -515,7 +486,7 @@ mod tests {
     fn no_trigger_returns_everything() {
         let mut rec = PowerRecorder::new(LeakageWeights::cortex_a7());
         for c in 0..5 {
-            PipelineObserver::begin_cycle(&mut rec, c);
+            rec.begin_cycle(c);
         }
         assert_eq!(rec.windowed_power().len(), 5);
     }
@@ -546,20 +517,20 @@ mod tests {
             let mut block_component = ComponentPowerRecorder::with_lanes(weights.clone(), 2);
             for c in 0..10 {
                 let event = ev(c, 0, (1 << (c % 8)) - 1);
-                PipelineObserver::begin_cycle(&mut scalar, c);
-                PipelineObserver::node_event(&mut scalar, event);
-                BlockObserver::begin_cycle(&mut block, c);
-                BlockObserver::node_event(&mut block, 1, event);
-                PipelineObserver::begin_cycle(&mut component, c);
-                PipelineObserver::node_event(&mut component, event);
-                BlockObserver::begin_cycle(&mut block_component, c);
-                BlockObserver::node_event(&mut block_component, 1, event);
+                scalar.begin_cycle(c);
+                scalar.node_event(0, event);
+                block.begin_cycle(c);
+                block.node_event(1, event);
+                component.begin_cycle(c);
+                component.node_event(0, event);
+                block_component.begin_cycle(c);
+                block_component.node_event(1, event);
             }
             for &(cycle, high) in edges {
-                PipelineObserver::trigger(&mut scalar, cycle, high);
-                BlockObserver::trigger(&mut block, cycle, high);
-                PipelineObserver::trigger(&mut component, cycle, high);
-                BlockObserver::trigger(&mut block_component, cycle, high);
+                scalar.trigger(cycle, high);
+                block.trigger(cycle, high);
+                component.trigger(cycle, high);
+                block_component.trigger(cycle, high);
             }
             for window in [component.window(), block_component.window()] {
                 assert_eq!(window, want, "edges {edges:?}");
@@ -609,21 +580,19 @@ mod tests {
         calls
     }
 
-    /// Feeds `calls` to `rec`, alternating the block's batched and
-    /// per-lane event entry points.
-    fn feed(rec: &mut PowerRecorder, calls: &[Call], block: bool) {
+    /// Feeds `calls` to `rec`, alternating the batched and per-lane
+    /// event entry points.
+    fn feed(rec: &mut PowerRecorder, calls: &[Call]) {
         for (i, call) in calls.iter().enumerate() {
             match call {
-                Call::Begin(c) if block => BlockObserver::begin_cycle(rec, *c),
-                Call::Begin(c) => PipelineObserver::begin_cycle(rec, *c),
-                Call::Events(events) if !block => PipelineObserver::node_event(rec, events[0]),
+                Call::Begin(c) => rec.begin_cycle(*c),
                 Call::Events(events) if i % 2 == 0 => rec.node_events(events),
                 Call::Events(events) => {
                     for (lane, &event) in events.iter().enumerate() {
-                        BlockObserver::node_event(rec, lane, event);
+                        rec.node_event(lane, event);
                     }
                 }
-                Call::Trigger(c, high) => BlockObserver::trigger(rec, *c, *high),
+                Call::Trigger(c, high) => rec.trigger(*c, *high),
             }
         }
     }
@@ -699,7 +668,7 @@ mod tests {
         let weights = LeakageWeights::zero().with_hd(NodeKind::Mdr, 1.0);
         for edges in cases {
             for gate in gates {
-                for (lanes, block) in [(1, false), (2, true)] {
+                for lanes in [1, 2] {
                     let calls = run(12, edges, lanes);
                     let (n, want) = oracle(&calls, &weights, lanes, gate);
                     let mut rec = PowerRecorder::with_lanes(weights.clone(), lanes);
@@ -707,7 +676,7 @@ mod tests {
                     // Twice: a reset recorder must not carry state over.
                     for _ in 0..2 {
                         rec.reset();
-                        feed(&mut rec, &calls, block);
+                        feed(&mut rec, &calls);
                         assert_eq!(rec.window_cycles(), n, "{edges:?} gate {gate:?}");
                         for (lane, want) in want.iter().enumerate() {
                             let mut got = Vec::new();
@@ -736,12 +705,12 @@ mod tests {
             let mut rec = PowerRecorder::new(weights.clone());
             rec.set_gate(gate.0, gate.1);
             for c in 0..6 {
-                PipelineObserver::begin_cycle(&mut rec, c);
-                PipelineObserver::node_event(&mut rec, ev(c, 0, 0b1));
+                rec.begin_cycle(c);
+                rec.node_event(0, ev(c, 0, 0b1));
                 if c == 4 {
-                    PipelineObserver::trigger(&mut rec, c, true);
+                    rec.trigger(c, true);
                 }
-                PipelineObserver::node_event(&mut rec, ev(c, 0, 0b11));
+                rec.node_event(0, ev(c, 0, 0b11));
             }
             assert_eq!(rec.window_cycles(), 2, "gate {gate:?}");
             assert_eq!(rec.windowed_power()[0], 3.0, "gate {gate:?}");
@@ -753,10 +722,10 @@ mod tests {
         let mut rec = PowerRecorder::new(LeakageWeights::cortex_a7());
         rec.set_gate(0, 0);
         for c in 0..20 {
-            PipelineObserver::begin_cycle(&mut rec, c);
-            PipelineObserver::node_event(&mut rec, ev(c, 0, 0xff));
+            rec.begin_cycle(c);
+            rec.node_event(0, ev(c, 0, 0xff));
             if c == 5 || c == 15 {
-                PipelineObserver::trigger(&mut rec, c, c == 5);
+                rec.trigger(c, c == 5);
             }
         }
         assert_eq!(rec.window_cycles(), 10);
@@ -766,13 +735,13 @@ mod tests {
     #[test]
     fn reset_clears_data() {
         let mut rec = PowerRecorder::new(LeakageWeights::cortex_a7());
-        PipelineObserver::begin_cycle(&mut rec, 0);
-        PipelineObserver::trigger(&mut rec, 2, true);
+        rec.begin_cycle(0);
+        rec.trigger(2, true);
         rec.reset();
         assert!(rec.windowed_power().is_empty());
         // A stale trigger edge would narrow the next execution's window.
         for c in 0..5 {
-            PipelineObserver::begin_cycle(&mut rec, c);
+            rec.begin_cycle(c);
         }
         assert_eq!(rec.windowed_power().len(), 5);
     }

@@ -18,9 +18,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sca_uarch::{Cpu, CpuBlock, UarchError};
+use sca_uarch::{Core, Cpu, CpuBlock, Lane, LaneCount, UarchError};
 
-use crate::lanes::Lanes;
 use crate::{GaussianNoise, LeakageWeights, PowerRecorder, SamplingConfig, TraceSet};
 
 /// Acquisition campaign parameters.
@@ -204,7 +203,7 @@ impl TraceSynthesizer {
     ) -> Result<TraceSet, UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
     {
         self.acquire_with(cpu, entry, generate, stage, |_, _| {})
     }
@@ -227,7 +226,7 @@ impl TraceSynthesizer {
     ) -> Result<TraceSet, UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
         let samples_per_trace = self.probe_samples(cpu, entry, &generate, &stage)?;
@@ -302,7 +301,7 @@ impl TraceSynthesizer {
     ) -> Result<usize, UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
     {
         let mut probe_cpu = cpu.clone();
         let mut rng = StdRng::seed_from_u64(child_seed(self.config.seed, u64::MAX));
@@ -341,7 +340,7 @@ impl TraceSynthesizer {
     ) -> Result<(Vec<f32>, Vec<u8>), UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
         let mut recorder = PowerRecorder::new(self.weights.clone());
@@ -404,22 +403,20 @@ impl TraceSynthesizer {
     ) -> Result<Vec<u8>, UarchError>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
-        let mut inputs = self
-            .synth_lanes(
-                cpu,
-                recorder,
-                std::slice::from_mut(scratch),
-                std::slice::from_mut(trace),
-                entry,
-                index,
-                1,
-                window,
-                (generate, stage, post),
-            )?
-            .expect("a scalar CPU never diverges");
+        let mut inputs = self.synth_lanes(
+            cpu,
+            recorder,
+            std::slice::from_mut(scratch),
+            std::slice::from_mut(trace),
+            entry,
+            index,
+            1,
+            window,
+            (generate, stage, post),
+        )?;
         Ok(inputs.pop().expect("one lane, one input"))
     }
 
@@ -465,12 +462,10 @@ impl TraceSynthesizer {
     ) -> Option<Vec<Vec<u8>>>
     where
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
         assert!(count >= 1 && count <= block.max_lanes(), "bad lane count");
-        // A block reports every run failure as divergence, so the body
-        // has no error to return here.
         self.synth_lanes(
             block,
             recorder,
@@ -483,17 +478,16 @@ impl TraceSynthesizer {
             (generate, stage, post),
         )
         .ok()
-        .flatten()
     }
 
     /// The single-channel per-execution body behind both entry points:
-    /// synthesizes traces `base..base + count`, lane `l` carrying trace
-    /// `base + l`, keeping the samples of `window`. Returns the lanes'
-    /// inputs, or `None` on lockstep divergence.
+    /// synthesizes traces `base..base + count` on `core`, lane `l`
+    /// carrying trace `base + l`, keeping the samples of `window`.
+    /// Returns the lanes' inputs, or the error the core stopped with.
     #[allow(clippy::too_many_arguments)]
-    fn synth_lanes<L, G, S, P>(
+    fn synth_lanes<const N: usize, G, S, P>(
         &self,
-        lanes: &mut L,
+        core: &mut Core<N>,
         recorder: &mut PowerRecorder,
         scratches: &mut [SynthScratch],
         traces: &mut [Vec<f32>],
@@ -502,11 +496,11 @@ impl TraceSynthesizer {
         count: usize,
         window: SampleWindow,
         (generate, stage, post): (&G, &S, &P),
-    ) -> Result<Option<Vec<Vec<u8>>>, UarchError>
+    ) -> Result<Vec<Vec<u8>>, <Core<N> as LaneCount>::Error>
     where
-        L: Lanes<PowerRecorder>,
+        Core<N>: LaneCount,
         G: Fn(&mut StdRng, usize) -> Vec<u8> + Sync,
-        S: Fn(&mut Cpu, &[u8]) + Sync,
+        S: Fn(&mut Lane, &[u8]) + Sync,
         P: Fn(&mut StdRng, &mut Vec<f64>) + Sync,
     {
         assert!(scratches.len() >= count && traces.len() >= count);
@@ -543,14 +537,12 @@ impl TraceSynthesizer {
                     ((base + l) as u64) << 8 | execution as u64,
                 );
             }
-            lanes.restart(entry, &seeds[..count]);
+            core.restart_lanes(entry, &seeds[..count]);
             for (l, input) in inputs.iter().enumerate() {
-                stage(lanes.lane_mut(l), input);
+                stage(core.lane_mut(l), input);
             }
             recorder.reset();
-            if !lanes.execute(recorder)? {
-                return Ok(None);
-            }
+            core.run(recorder)?;
             simulator_runs_counter().add(count as u64);
             let cycles = recorder.window_cycles();
             let total = sampling.sample_count(cycles);
@@ -583,7 +575,7 @@ impl TraceSynthesizer {
             trace.clear();
             crate::vecops::scaled_narrow_extend(trace, &scratch.accum, inv);
         }
-        Ok(Some(inputs))
+        Ok(inputs)
     }
 }
 
@@ -619,7 +611,7 @@ mod tests {
         (cpu, program.entry())
     }
 
-    fn stage(cpu: &mut Cpu, input: &[u8]) {
+    fn stage(cpu: &mut Lane, input: &[u8]) {
         let word = u32::from_le_bytes([input[0], input[1], input[2], input[3]]);
         cpu.mem_mut().write_u32(0x800, word).unwrap();
     }

@@ -12,7 +12,7 @@ use sca_power::{
     simulator_runs, AcquisitionConfig, GaussianNoise, LeakageWeights, SamplingConfig,
     TraceSynthesizer,
 };
-use sca_uarch::{Cpu, UarchConfig};
+use sca_uarch::{Cpu, Lane, UarchConfig};
 
 fn fixture() -> (Cpu, u32) {
     let program = assemble(
@@ -32,7 +32,7 @@ fn fixture() -> (Cpu, u32) {
     (cpu, program.entry())
 }
 
-fn stage(cpu: &mut Cpu, input: &[u8]) {
+fn stage(cpu: &mut Lane, input: &[u8]) {
     let word = u32::from_le_bytes([input[0], input[1], input[2], input[3]]);
     cpu.mem_mut().write_u32(0x800, word).unwrap();
 }

@@ -21,6 +21,7 @@
 //! pins.
 
 use std::collections::HashMap;
+use std::io::{self, BufRead, Read};
 
 use sca_power::GaussianNoise;
 
@@ -202,6 +203,53 @@ pub fn format_stats(stats: &ServerStats) -> String {
     )
 }
 
+/// The longest request line a connection may send, in bytes before the
+/// newline. Real requests are a few hundred bytes; the cap keeps a
+/// client that never sends a newline from growing the server's buffer
+/// without bound.
+pub const MAX_REQUEST_LINE: usize = 4096;
+
+/// One read of [`read_request_line`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RequestLine {
+    /// A line, without its `\n` or `\r\n`.
+    Line(String),
+    /// The line ran past [`MAX_REQUEST_LINE`] bytes: the caller replies
+    /// `rejected request line exceeds MAX_REQUEST_LINE bytes` and closes
+    /// the connection (the rest of the line is never read).
+    TooLong,
+    /// The stream ended.
+    End,
+}
+
+/// Reads one request line into `buf` (cleared first), reading at most
+/// [`MAX_REQUEST_LINE`]` + 1` bytes, so `buf` never grows past that.
+///
+/// # Errors
+///
+/// I/O errors of `reader`, and [`io::ErrorKind::InvalidData`] for a line
+/// that is not UTF-8.
+pub fn read_request_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<RequestLine> {
+    buf.clear();
+    let read = reader
+        .take(MAX_REQUEST_LINE as u64 + 1)
+        .read_until(b'\n', buf)?;
+    if read == 0 {
+        return Ok(RequestLine::End);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_LINE {
+        return Ok(RequestLine::TooLong);
+    }
+    let line =
+        std::str::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    Ok(RequestLine::Line(line.to_owned()))
+}
+
 /// The bare verdict carried by a `final` event line, if `line` is one —
 /// the exact text the one-shot portfolio prints for the same spec.
 #[must_use]
@@ -269,5 +317,41 @@ mod tests {
             Some("[aes128] HW(SubBytes): SUCCESS (recovered 0x7e, true 0x7e, rank 0)")
         );
         assert_eq!(final_verdict("done job=3"), None);
+    }
+
+    #[test]
+    fn request_lines_are_bounded() {
+        let at_cap = "a".repeat(MAX_REQUEST_LINE);
+        let past_cap = "b".repeat(MAX_REQUEST_LINE + 1);
+        let mut buf = Vec::new();
+
+        let input = format!("{at_cap}\nstats\r\n{at_cap}");
+        let mut reader = input.as_bytes();
+        for want in [&at_cap[..], "stats", &at_cap[..]] {
+            let got = read_request_line(&mut reader, &mut buf).unwrap();
+            assert_eq!(got, RequestLine::Line(want.to_owned()));
+        }
+        assert_eq!(
+            read_request_line(&mut reader, &mut buf).unwrap(),
+            RequestLine::End
+        );
+
+        for input in [format!("{past_cap}\nstats\n"), past_cap.clone()] {
+            let mut reader = input.as_bytes();
+            let got = read_request_line(&mut reader, &mut buf).unwrap();
+            assert_eq!(got, RequestLine::TooLong);
+            assert_eq!(buf.len(), MAX_REQUEST_LINE + 1);
+        }
+
+        // A megabyte without a newline is refused after the cap.
+        let flood = vec![b'x'; 1 << 20];
+        let mut reader = &flood[..];
+        let got = read_request_line(&mut reader, &mut buf).unwrap();
+        assert_eq!(got, RequestLine::TooLong);
+        assert_eq!(reader.len(), flood.len() - MAX_REQUEST_LINE - 1);
+
+        let mut reader = &[0xff, b'\n'][..];
+        let err = read_request_line(&mut reader, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -13,7 +13,7 @@ use sca_aes::{
 };
 use sca_isa::Program;
 use sca_lint::{LintRegion, LintSpec, RegionKind, ReleaseSpan};
-use sca_uarch::{Cpu, UarchConfig, UarchError};
+use sca_uarch::{Cpu, Lane, UarchConfig, UarchError};
 
 use crate::{CipherTarget, ModelKind, TargetModel, WindowHint};
 
@@ -142,11 +142,11 @@ impl CipherTarget for AesTarget {
         16
     }
 
-    fn stage(&self, cpu: &mut Cpu, input: &[u8]) {
+    fn stage(&self, cpu: &mut Lane, input: &[u8]) {
         AesSim::stage_plaintext(cpu, input);
     }
 
-    fn stage_constants(&self, cpu: &mut Cpu) -> Result<(), UarchError> {
+    fn stage_constants(&self, cpu: &mut Lane) -> Result<(), UarchError> {
         cpu.mem_mut().write_bytes(SBOX_ADDR, &SBOX)?;
         cpu.mem_mut().write_bytes(RK_ADDR, &expand_key(&self.key))
     }
@@ -232,11 +232,11 @@ impl CipherTarget for MaskedAesTarget {
         plaintext
     }
 
-    fn stage(&self, cpu: &mut Cpu, input: &[u8]) {
+    fn stage(&self, cpu: &mut Lane, input: &[u8]) {
         MaskedAesSim::stage_input(cpu, input);
     }
 
-    fn stage_constants(&self, cpu: &mut Cpu) -> Result<(), UarchError> {
+    fn stage_constants(&self, cpu: &mut Lane) -> Result<(), UarchError> {
         cpu.mem_mut().write_bytes(SBOX_ADDR, &SBOX)?;
         cpu.mem_mut().write_bytes(RK_ADDR, &expand_key(&self.key))
     }

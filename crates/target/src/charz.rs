@@ -12,7 +12,7 @@
 use sca_analysis::{significance_threshold, PearsonAccumulator};
 use sca_campaign::{run_sharded, ComponentArena, ShardPlan};
 use sca_power::{ComponentSynthesizer, LeakageWeights};
-use sca_uarch::{Cpu, NodeKind};
+use sca_uarch::{Cpu, Lane, NodeKind};
 
 use crate::{resolve_window, CipherTarget, TargetCampaignConfig, TargetError, TargetModel};
 
@@ -130,7 +130,7 @@ pub fn characterize_target(
         config.seed ^ 0xc4a12,
     );
     let generate = |rng: &mut rand::rngs::StdRng, index| target.generate(rng, index);
-    let stage = |cpu: &mut Cpu, input: &[u8]| target.stage(cpu, input);
+    let stage = |cpu: &mut Lane, input: &[u8]| target.stage(cpu, input);
     let sink = run_sharded(
         &plan,
         || ComponentArena::new(&synth, cpu, config.lanes),

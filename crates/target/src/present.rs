@@ -20,7 +20,7 @@
 
 use sca_isa::Program;
 use sca_lint::{LintRegion, LintSpec, RegionKind};
-use sca_uarch::{Cpu, NullObserver, PipelineObserver, UarchConfig, UarchError};
+use sca_uarch::{Cpu, Lane, NullObserver, PipelineObserver, UarchConfig, UarchError};
 
 use sca_analysis::SelectionFunction;
 
@@ -250,7 +250,7 @@ impl PresentSim {
     /// # Errors
     ///
     /// Propagates memory faults (cannot happen with the fixed layout).
-    pub fn stage_tables(cpu: &mut Cpu) -> Result<(), UarchError> {
+    pub fn stage_tables(cpu: &mut Lane) -> Result<(), UarchError> {
         cpu.mem_mut()
             .write_bytes(PRESENT_SP_ADDR, &present_sp_table())?;
         let (lo, hi) = present_spread_tables();
@@ -270,7 +270,7 @@ impl PresentSim {
     /// # Errors
     ///
     /// Propagates memory faults (cannot happen with the fixed layout).
-    pub fn stage_round_keys(cpu: &mut Cpu, key: &[u8; 10]) -> Result<(), UarchError> {
+    pub fn stage_round_keys(cpu: &mut Lane, key: &[u8; 10]) -> Result<(), UarchError> {
         let mut bytes = [0u8; (PRESENT_ROUNDS + 1) * 8];
         for (i, rk) in present_round_keys(key).iter().enumerate() {
             bytes[8 * i..8 * i + 8].copy_from_slice(&rk.to_be_bytes());
@@ -324,7 +324,7 @@ impl PresentSim {
     /// # Panics
     ///
     /// Panics if `input` is shorter than 8 bytes.
-    pub fn stage_plaintext(cpu: &mut Cpu, input: &[u8]) {
+    pub fn stage_plaintext(cpu: &mut Lane, input: &[u8]) {
         cpu.mem_mut()
             .write_bytes(PRESENT_STATE_ADDR, &input[..8])
             .expect("state buffer is mapped");
@@ -388,11 +388,11 @@ impl crate::CipherTarget for PresentTarget {
         8
     }
 
-    fn stage(&self, cpu: &mut Cpu, input: &[u8]) {
+    fn stage(&self, cpu: &mut Lane, input: &[u8]) {
         PresentSim::stage_plaintext(cpu, input);
     }
 
-    fn stage_constants(&self, cpu: &mut Cpu) -> Result<(), UarchError> {
+    fn stage_constants(&self, cpu: &mut Lane) -> Result<(), UarchError> {
         PresentSim::stage_tables(cpu)?;
         PresentSim::stage_round_keys(cpu, &self.key)
     }

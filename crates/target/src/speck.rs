@@ -19,7 +19,7 @@
 
 use sca_isa::Program;
 use sca_lint::{LintRegion, LintSpec, RegionKind};
-use sca_uarch::{Cpu, NullObserver, PipelineObserver, UarchConfig, UarchError};
+use sca_uarch::{Cpu, Lane, NullObserver, PipelineObserver, UarchConfig, UarchError};
 
 use sca_analysis::SelectionFunction;
 
@@ -221,7 +221,7 @@ impl SpeckSim {
     /// # Errors
     ///
     /// Propagates memory faults (cannot happen with the fixed layout).
-    pub fn stage_round_keys(cpu: &mut Cpu, key: &[u8; 16]) -> Result<(), UarchError> {
+    pub fn stage_round_keys(cpu: &mut Lane, key: &[u8; 16]) -> Result<(), UarchError> {
         let mut bytes = [0u8; SPECK_ROUNDS * 4];
         for (i, rk) in speck_round_keys(key).iter().enumerate() {
             bytes[4 * i..4 * i + 4].copy_from_slice(&rk.to_le_bytes());
@@ -277,7 +277,7 @@ impl SpeckSim {
     /// # Panics
     ///
     /// Panics if `input` is shorter than 8 bytes.
-    pub fn stage_plaintext(cpu: &mut Cpu, input: &[u8]) {
+    pub fn stage_plaintext(cpu: &mut Lane, input: &[u8]) {
         cpu.mem_mut()
             .write_bytes(SPECK_STATE_ADDR, &input[..8])
             .expect("state buffer is mapped");
@@ -364,11 +364,11 @@ impl crate::CipherTarget for SpeckTarget {
         })
     }
 
-    fn stage(&self, cpu: &mut Cpu, input: &[u8]) {
+    fn stage(&self, cpu: &mut Lane, input: &[u8]) {
         SpeckSim::stage_plaintext(cpu, input);
     }
 
-    fn stage_constants(&self, cpu: &mut Cpu) -> Result<(), UarchError> {
+    fn stage_constants(&self, cpu: &mut Lane) -> Result<(), UarchError> {
         SpeckSim::stage_round_keys(cpu, &self.key)
     }
 

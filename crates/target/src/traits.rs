@@ -10,7 +10,7 @@ use rand::Rng;
 
 use sca_analysis::SelectionFunction;
 use sca_isa::Program;
-use sca_uarch::{Cpu, UarchConfig, UarchError};
+use sca_uarch::{Cpu, Lane, UarchConfig, UarchError};
 
 /// How a leakage model relates to the microarchitecture.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -235,8 +235,9 @@ pub trait CipherTarget: Send + Sync {
         Arc::new(|raw: &[u8]| raw.to_vec())
     }
 
-    /// Stages one input into a (cloned) CPU before an execution.
-    fn stage(&self, cpu: &mut Cpu, input: &[u8]);
+    /// Stages one input into a lane (of a cloned CPU or a lockstep
+    /// block) before an execution.
+    fn stage(&self, cpu: &mut Lane, input: &[u8]);
 
     /// Stages the execution-invariant memory contract (tables, round
     /// keys) — what [`CipherTarget::build`] does once, exposed for
@@ -245,7 +246,7 @@ pub trait CipherTarget: Send + Sync {
     /// # Errors
     ///
     /// Propagates memory faults.
-    fn stage_constants(&self, cpu: &mut Cpu) -> Result<(), UarchError>;
+    fn stage_constants(&self, cpu: &mut Lane) -> Result<(), UarchError>;
 
     /// Golden-model ciphertext for an input (reference for conformance
     /// checks).

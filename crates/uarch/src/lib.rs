@@ -15,6 +15,14 @@
 //! address generation in the issue stage, and the measured Table 1 pairing
 //! policy ([`DualIssuePolicy::cortex_a7`]).
 //!
+//! There is one pipeline body, [`Core`], generic over its lane count.
+//! [`Cpu`] is the one-lane core; [`CpuBlock`] steps up to [`MAX_LANES`]
+//! traces of a constant-time program in lockstep through one shared
+//! control path, with registers, memory, caches and node values held per
+//! [`Lane`]. Each lane's event stream is byte-identical to a one-lane run
+//! of it; lanes that stop agreeing on control flow or timing end the run
+//! with a [`Divergence`], and callers re-run those traces on a `Cpu`.
+//!
 //! ```
 //! use sca_isa::assemble;
 //! use sca_uarch::{Cpu, RecordingObserver, UarchConfig, Node};
@@ -37,24 +45,22 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod block;
 mod cache;
 mod config;
-mod cpu;
 mod error;
 mod mem;
 mod nodes;
 mod observer;
+mod pipeline;
 mod policy;
 mod stats;
 
-pub use block::{BlockObserver, CpuBlock, Divergence, MAX_LANES};
 pub use cache::{Cache, CacheAccess, CacheCounts, CacheHierarchy};
 pub use config::{CacheConfig, UarchConfig};
-pub use cpu::Cpu;
 pub use error::UarchError;
 pub use mem::Memory;
 pub use nodes::{Node, NodeEvent, NodeKind, NodeState, Pipe};
 pub use observer::{NullObserver, PipelineObserver, RecordingObserver};
+pub use pipeline::{Core, Cpu, CpuBlock, Divergence, Lane, LaneCount, MAX_LANES};
 pub use policy::DualIssuePolicy;
 pub use stats::{ExecStats, StallCause};

@@ -9,7 +9,12 @@ use sca_isa::Insn;
 
 use crate::NodeEvent;
 
-/// Receives microarchitectural activity from the CPU, cycle by cycle.
+/// Receives microarchitectural activity from a [`crate::Core`], cycle by
+/// cycle.
+///
+/// Cycle boundaries, trigger edges and retirements are shared by every
+/// lane; node events carry the lane they happened in. A one-lane
+/// [`crate::Cpu`] reports everything as lane 0.
 ///
 /// All methods have empty default bodies so observers implement only what
 /// they need.
@@ -19,17 +24,34 @@ pub trait PipelineObserver {
         let _ = cycle;
     }
 
-    /// A value was asserted on a tracked node.
-    fn node_event(&mut self, event: NodeEvent) {
-        let _ = event;
+    /// A value was asserted on a tracked node of one lane.
+    fn node_event(&mut self, lane: usize, event: NodeEvent) {
+        let _ = (lane, event);
     }
 
-    /// The GPIO trigger pin changed level (measurement window marker).
+    /// One node's assertions across all active lanes of one cycle,
+    /// delivered as a batch: `events[l]` is lane `l`'s event, and all
+    /// entries share the same cycle and node.
+    ///
+    /// The default forwards to [`PipelineObserver::node_event`] lane by
+    /// lane, so implementing it is purely an optimization — recorders
+    /// on the hot path override it to resolve the node's kind and
+    /// weights once per batch instead of once per lane, without
+    /// changing the per-lane event order (and hence without changing
+    /// any accumulated value).
+    fn node_events(&mut self, events: &[NodeEvent]) {
+        for (lane, &event) in events.iter().enumerate() {
+            self.node_event(lane, event);
+        }
+    }
+
+    /// The GPIO trigger pin changed level (measurement window marker;
+    /// all lanes switch together).
     fn trigger(&mut self, cycle: u64, high: bool) {
         let _ = (cycle, high);
     }
 
-    /// An instruction retired.
+    /// An instruction retired (in every lane at once).
     fn retire(&mut self, cycle: u64, addr: u32, insn: Insn) {
         let _ = (cycle, addr, insn);
     }
@@ -42,6 +64,8 @@ pub struct NullObserver;
 impl PipelineObserver for NullObserver {}
 
 /// Records every node event (and trigger edge), for tests and audits.
+/// Events of a multi-lane run are recorded in emission order, lanes
+/// interleaved.
 #[derive(Clone, Debug, Default)]
 pub struct RecordingObserver {
     /// All node events in emission order.
@@ -92,7 +116,7 @@ impl RecordingObserver {
 }
 
 impl PipelineObserver for RecordingObserver {
-    fn node_event(&mut self, event: NodeEvent) {
+    fn node_event(&mut self, _lane: usize, event: NodeEvent) {
         self.events.push(event);
     }
 
@@ -113,24 +137,33 @@ mod tests {
     #[test]
     fn recording_observer_filters_by_node() {
         let mut obs = RecordingObserver::new();
-        obs.node_event(NodeEvent {
-            cycle: 0,
-            node: Node::Mdr,
-            before: 0,
-            after: 1,
-        });
-        obs.node_event(NodeEvent {
-            cycle: 1,
-            node: Node::AlignBuf,
-            before: 0,
-            after: 2,
-        });
-        obs.node_event(NodeEvent {
-            cycle: 2,
-            node: Node::Mdr,
-            before: 1,
-            after: 3,
-        });
+        obs.node_event(
+            0,
+            NodeEvent {
+                cycle: 0,
+                node: Node::Mdr,
+                before: 0,
+                after: 1,
+            },
+        );
+        obs.node_event(
+            0,
+            NodeEvent {
+                cycle: 1,
+                node: Node::AlignBuf,
+                before: 0,
+                after: 2,
+            },
+        );
+        obs.node_event(
+            0,
+            NodeEvent {
+                cycle: 2,
+                node: Node::Mdr,
+                before: 1,
+                after: 3,
+            },
+        );
         assert_eq!(obs.events_on(Node::Mdr).len(), 2);
         assert_eq!(obs.events_on(Node::AlignBuf).len(), 1);
         assert_eq!(obs.events_on(Node::ShiftBuf).len(), 0);
@@ -139,26 +172,35 @@ mod tests {
     #[test]
     fn trigger_window_selects_inner_events() {
         let mut obs = RecordingObserver::new();
-        obs.node_event(NodeEvent {
-            cycle: 0,
-            node: Node::Mdr,
-            before: 0,
-            after: 1,
-        });
+        obs.node_event(
+            0,
+            NodeEvent {
+                cycle: 0,
+                node: Node::Mdr,
+                before: 0,
+                after: 1,
+            },
+        );
         obs.trigger(1, true);
-        obs.node_event(NodeEvent {
-            cycle: 2,
-            node: Node::Mdr,
-            before: 1,
-            after: 2,
-        });
+        obs.node_event(
+            0,
+            NodeEvent {
+                cycle: 2,
+                node: Node::Mdr,
+                before: 1,
+                after: 2,
+            },
+        );
         obs.trigger(3, false);
-        obs.node_event(NodeEvent {
-            cycle: 4,
-            node: Node::Mdr,
-            before: 2,
-            after: 3,
-        });
+        obs.node_event(
+            0,
+            NodeEvent {
+                cycle: 4,
+                node: Node::Mdr,
+                before: 2,
+                after: 3,
+            },
+        );
         let window = obs.events_in_trigger_window();
         assert_eq!(window.len(), 1);
         assert_eq!(window[0].cycle, 2);

@@ -9,7 +9,7 @@ use superscalar_sca::core::{
 };
 use superscalar_sca::isa::{assemble, Reg};
 use superscalar_sca::power::GaussianNoise;
-use superscalar_sca::uarch::{Cpu, Node, NodeKind, UarchConfig};
+use superscalar_sca::uarch::{Lane, Node, NodeKind, UarchConfig};
 
 fn share_models() -> [SecretModel; 1] {
     [SecretModel::new("HD(share0, share1)", |input: &[u8]| {
@@ -17,7 +17,7 @@ fn share_models() -> [SecretModel; 1] {
     })]
 }
 
-fn stage(cpu: &mut Cpu, input: &[u8]) {
+fn stage(cpu: &mut Lane, input: &[u8]) {
     cpu.set_reg(Reg::R0, input_word(input, 0));
     cpu.set_reg(Reg::R1, input_word(input, 1));
     cpu.set_reg(Reg::R4, 0x0f0f_0f0f);

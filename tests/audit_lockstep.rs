@@ -15,12 +15,7 @@ use superscalar_sca::core::{
 };
 use superscalar_sca::isa::{assemble, Program, Reg};
 use superscalar_sca::target::portfolio;
-use superscalar_sca::uarch::{BlockObserver, Cpu, CpuBlock, NullObserver, UarchConfig, MAX_LANES};
-
-/// A block observer that ignores everything.
-struct Quiet;
-
-impl BlockObserver for Quiet {}
+use superscalar_sca::uarch::{Cpu, CpuBlock, Lane, NullObserver, UarchConfig, MAX_LANES};
 
 /// A report as comparable rows, the correlation as raw bits.
 fn rows(report: &AuditReport) -> Vec<(String, u64, String, u64, Option<usize>)> {
@@ -97,7 +92,7 @@ skip:   mov r5, r0
     .expect("kernel assembles")
 }
 
-fn stage_words(cpu: &mut Cpu, input: &[u8]) {
+fn stage_words(cpu: &mut Lane, input: &[u8]) {
     let word = |i: usize| u32::from_le_bytes([input[i], input[i + 1], input[i + 2], input[i + 3]]);
     cpu.set_reg(Reg::R0, word(0));
     cpu.set_reg(Reg::R1, word(4));
@@ -125,11 +120,11 @@ fn diverging_groups_fall_back_to_the_scalar_cpu_bit_identically() {
     cpu.load(&program).expect("kernel loads");
     cpu.run(&mut NullObserver).expect("warm-up runs");
     let mut block = CpuBlock::from_template(&cpu, 2);
-    block.restart_seeded(program.entry(), &[1, 2]);
+    block.restart_lanes(program.entry(), &[1, 2]);
     stage_words(block.lane_mut(0), &[0; 8]);
     stage_words(block.lane_mut(1), &[1, 0, 0, 0, 0, 0, 0, 0]);
     assert!(
-        block.run(&mut Quiet).is_err(),
+        block.run(&mut NullObserver).is_err(),
         "mixed-parity lanes must diverge"
     );
 

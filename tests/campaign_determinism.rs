@@ -20,7 +20,7 @@ use superscalar_sca::power::{
     SynthScratch, TraceSynthesizer,
 };
 use superscalar_sca::prelude::TraceSet;
-use superscalar_sca::uarch::{Cpu, UarchConfig};
+use superscalar_sca::uarch::{Cpu, Lane, UarchConfig};
 
 /// A kernel that loads one staged random word inside a trigger window —
 /// the smallest program whose traces carry an attackable leak (the MDR
@@ -50,7 +50,7 @@ fn generate(rng: &mut rand::rngs::StdRng, _index: usize) -> Vec<u8> {
     rng.gen::<u32>().to_le_bytes().to_vec()
 }
 
-fn stage(cpu: &mut Cpu, input: &[u8]) {
+fn stage(cpu: &mut Lane, input: &[u8]) {
     let word = u32::from_le_bytes([input[0], input[1], input[2], input[3]]);
     cpu.mem_mut()
         .write_u32(0x800, word)

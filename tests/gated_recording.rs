@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use superscalar_sca::power::{LeakageWeights, PowerRecorder};
-use superscalar_sca::uarch::{BlockObserver, Node, NodeEvent, Pipe, PipelineObserver};
+use superscalar_sca::uarch::{Node, NodeEvent, Pipe, PipelineObserver};
 
 /// One observer call of a synthetic run.
 #[derive(Clone, Debug)]
@@ -128,23 +128,19 @@ fn reference(
     (n, rows)
 }
 
-/// Feeds `calls` to a recorder: through the scalar observer at one lane,
-/// through the block observer (batched and per-lane, alternating)
-/// otherwise.
-fn feed(rec: &mut PowerRecorder, calls: &[Call], lanes: usize) {
+/// Feeds `calls` to a recorder, alternating the batched and per-lane
+/// event entry points.
+fn feed(rec: &mut PowerRecorder, calls: &[Call]) {
     for (i, call) in calls.iter().enumerate() {
         match call {
-            Call::Begin(c) if lanes == 1 => PipelineObserver::begin_cycle(rec, *c),
-            Call::Begin(c) => BlockObserver::begin_cycle(rec, *c),
-            Call::Events(events) if lanes == 1 => PipelineObserver::node_event(rec, events[0]),
+            Call::Begin(c) => rec.begin_cycle(*c),
             Call::Events(events) if i % 2 == 0 => rec.node_events(events),
             Call::Events(events) => {
                 for (lane, &event) in events.iter().enumerate() {
-                    BlockObserver::node_event(rec, lane, event);
+                    rec.node_event(lane, event);
                 }
             }
-            Call::Trigger(c, high) if lanes == 1 => PipelineObserver::trigger(rec, *c, *high),
-            Call::Trigger(c, high) => BlockObserver::trigger(rec, *c, *high),
+            Call::Trigger(c, high) => rec.trigger(*c, *high),
         }
     }
 }
@@ -177,7 +173,7 @@ proptest! {
         // Twice, reusing the recorder: nothing may leak across a reset.
         for _ in 0..2 {
             rec.reset();
-            feed(&mut rec, &calls, lanes);
+            feed(&mut rec, &calls);
             prop_assert_eq!(rec.window_cycles(), n);
             let mut got = Vec::new();
             for (lane, want) in want.iter().enumerate() {

@@ -26,7 +26,7 @@ use superscalar_sca::power::{
     AcquisitionConfig, ComponentSynthesizer, GaussianNoise, LeakageWeights, PowerRecorder,
     SampleWindow, SamplingConfig, SynthScratch, TraceSynthesizer,
 };
-use superscalar_sca::uarch::{Cpu, CpuBlock, NodeKind, UarchConfig};
+use superscalar_sca::uarch::{Cpu, CpuBlock, Lane, NodeKind, UarchConfig};
 
 const LANE_COUNTS: [usize; 4] = [1, 2, 5, 8];
 
@@ -57,7 +57,7 @@ fn block_synthesis_matches_scalar_per_target_and_lane_count() {
         let entry = target.program().entry();
         let synth = synthesizer(0x010c_45e7 ^ target.name().len() as u64);
         let generate = |rng: &mut StdRng, index: usize| target.generate(rng, index);
-        let stage = |cpu: &mut Cpu, input: &[u8]| target.stage(cpu, input);
+        let stage = |cpu: &mut Lane, input: &[u8]| target.stage(cpu, input);
         let post = |_: &mut StdRng, _: &mut Vec<f64>| {};
 
         for lanes in LANE_COUNTS {
@@ -193,7 +193,7 @@ fn campaign_results_are_lane_count_invariant() {
                 &template,
                 entry,
                 |rng: &mut StdRng, index| target.generate(rng, index),
-                |cpu: &mut Cpu, input: &[u8]| target.stage(cpu, input),
+                |cpu: &mut Lane, input: &[u8]| target.stage(cpu, input),
                 |_| CollectSink::default(),
             )
             .expect("campaign runs")
@@ -319,7 +319,7 @@ skip:   nop
     (cpu, program.entry())
 }
 
-fn stage_word(cpu: &mut Cpu, input: &[u8]) {
+fn stage_word(cpu: &mut Lane, input: &[u8]) {
     let word = u32::from_le_bytes([input[0], input[1], input[2], input[3]]);
     cpu.mem_mut().write_u32(0x800, word).expect("staging write");
 }
@@ -351,7 +351,7 @@ fn diverged_groups_rerun_scalar_bit_identically() {
     // The kernel really diverges: one even and one odd input in one
     // lockstep walk.
     let mut block = CpuBlock::from_template(&template, 2);
-    block.restart_seeded(entry, &[1, 2]);
+    block.restart_lanes(entry, &[1, 2]);
     stage_word(block.lane_mut(0), &[0, 0, 0, 0]);
     stage_word(block.lane_mut(1), &[1, 0, 0, 0]);
     let mut recorder = PowerRecorder::with_lanes(LeakageWeights::cortex_a7(), 2);

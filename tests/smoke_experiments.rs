@@ -10,7 +10,7 @@ use superscalar_sca::core::{
     DualIssueMap, SecretModel,
 };
 use superscalar_sca::isa::{assemble, InsnClass, Reg};
-use superscalar_sca::uarch::{Cpu, DualIssuePolicy, UarchConfig};
+use superscalar_sca::uarch::{DualIssuePolicy, Lane, UarchConfig};
 
 /// Table 1 logic: the measured dual-issue matrix is complete, CPI values
 /// are sane, and the matrix reproduces the modeled pairing policy.
@@ -101,7 +101,7 @@ fn audit_api_flags_share_recombination() {
     let models = [SecretModel::new("HD(share0, share1)", |input: &[u8]| {
         f64::from((input_word(input, 0) ^ input_word(input, 1)).count_ones())
     })];
-    let stage = |cpu: &mut Cpu, input: &[u8]| {
+    let stage = |cpu: &mut Lane, input: &[u8]| {
         cpu.set_reg(Reg::R0, input_word(input, 0));
         cpu.set_reg(Reg::R1, input_word(input, 1));
     };
