@@ -55,6 +55,14 @@ mod pipeline;
 mod policy;
 mod stats;
 
+// The pipeline's unit tests, one module per use of it.
+#[cfg(test)]
+#[path = "pipeline_tests/lockstep.rs"]
+mod block;
+#[cfg(test)]
+#[path = "pipeline_tests/one_lane.rs"]
+mod cpu;
+
 pub use cache::{Cache, CacheAccess, CacheCounts, CacheHierarchy};
 pub use config::{CacheConfig, UarchConfig};
 pub use error::UarchError;
